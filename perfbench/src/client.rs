@@ -14,19 +14,18 @@ use crate::stream::{Kind, Op};
 use idea_core::{Command, Response};
 use idea_transport::frame::{frame_bytes, parse_frame, NO_REPLY};
 use idea_transport::{Frame, FramePayload};
-use mio::{Events, Interest, Poll, Token};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::thread;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 /// How long a phase may overrun its nominal length before the commands
 /// still outstanding count as timed out.
 const GRACE: Duration = Duration::from_secs(10);
 
-/// Longest nap between due times in the open loop: bounds how late a
-/// response that arrived during the nap is noticed.
-const MAX_NAP: Duration = Duration::from_micros(100);
+/// Longest wait for a response once every command of a phase is out; the
+/// wait ends as soon as one arrives, so this only paces the deadline check.
+const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// How a phase paces its commands.
 #[derive(Debug, Clone, Copy)]
@@ -97,17 +96,14 @@ struct Conn {
 /// Two connections to one server.
 pub struct Client {
     conns: Vec<Conn>,
-    poll: Poll,
-    events: Events,
     next_id: u64,
 }
 
 impl Client {
     /// Connects `count` connections and consumes each server greeting.
     pub fn connect(addr: SocketAddr, count: usize) -> io::Result<Client> {
-        let poll = Poll::new()?;
         let mut conns = Vec::with_capacity(count);
-        for i in 0..count {
+        for _ in 0..count {
             let mut stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true)?;
             let mut inbuf = Vec::new();
@@ -134,14 +130,14 @@ impl Client {
                 }
             }
             stream.set_nonblocking(true)?;
-            poll.registry().register(&stream, Token(i), Interest::READABLE)?;
             conns.push(Conn { stream, out: Vec::new(), out_pos: 0, inbuf });
         }
-        Ok(Client { conns, poll, events: Events::with_capacity(16), next_id: NO_REPLY + 1 })
+        Ok(Client { conns, next_id: NO_REPLY + 1 })
     }
 
     /// Runs `ops` under `pacing`. With `trace` the codec calls are timed.
     pub fn run(&mut self, ops: &[Op], pacing: Pacing, trace: bool) -> PhaseResult {
+        precise_timers();
         let n = ops.len();
         let base = self.next_id;
         self.next_id += n as u64;
@@ -211,15 +207,11 @@ impl Client {
                 break;
             }
             if got == 0 {
-                let wait =
-                    if next < n { due(next).saturating_duration_since(now) } else { MAX_NAP };
-                match pacing {
-                    Pacing::Open { .. } if wait < Duration::from_millis(1) => {
-                        thread::sleep(wait.min(MAX_NAP));
-                    }
-                    Pacing::Open { .. } => self.wait_readable(wait),
-                    Pacing::Closed { .. } => self.wait_readable(Duration::from_millis(1)),
-                }
+                let wait = match pacing {
+                    Pacing::Open { .. } if next < n => due(next).saturating_duration_since(now),
+                    _ => IDLE_WAIT,
+                };
+                self.wait_readable(wait);
             }
         }
         r.elapsed = start.elapsed();
@@ -227,9 +219,25 @@ impl Client {
         r
     }
 
-    /// Blocks until a connection is readable or `timeout` passes.
+    /// Blocks until a connection is readable or `timeout` passes, with
+    /// nanosecond resolution: a response is noticed when it arrives, not
+    /// at the next due time, and a sub-millisecond wait is not rounded up
+    /// (as `epoll_wait`'s millisecond timeout would).
     fn wait_readable(&mut self, timeout: Duration) {
-        let _ = self.poll.poll(&mut self.events, Some(timeout));
+        let mut fds: Vec<sys::PollFd> = self
+            .conns
+            .iter()
+            .map(|c| sys::PollFd { fd: c.stream.as_raw_fd(), events: sys::POLLIN, revents: 0 })
+            .collect();
+        let ts =
+            sys::Timespec { tv_sec: timeout.as_secs() as _, tv_nsec: timeout.subsec_nanos() as _ };
+        // SAFETY: `fds` is a live array of `fds.len()` initialised entries
+        // and `ts` a valid timespec, both outliving the call; a null
+        // signal mask leaves the mask unchanged. An error (EINTR) just
+        // ends the wait early, which the caller's loop tolerates.
+        unsafe {
+            sys::ppoll(fds.as_mut_ptr(), fds.len() as _, &ts, std::ptr::null());
+        }
     }
 
     /// Reads and checks every complete response frame; returns how many
@@ -353,4 +361,55 @@ fn flush(conn: &mut Conn) {
 
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Sets the calling thread's timer slack to 1 ns. With the default 50 µs
+/// slack a wait for the next due time may end up to 50 µs late, and that
+/// lateness would be charged to the command (latency runs from due time).
+/// Best effort: without it the waits are only coarser.
+pub fn precise_timers() {
+    // SAFETY: PR_SET_TIMERSLACK takes plain integer arguments and only
+    // changes the calling thread's timer slack.
+    unsafe {
+        sys::prctl(sys::PR_SET_TIMERSLACK, 1, 0, 0, 0);
+    }
+}
+
+/// The system calls `std` does not wrap: `ppoll(2)`, a readiness wait with
+/// a `timespec` timeout, and `prctl(2)` for the timer slack.
+mod sys {
+    use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
+
+    pub const POLLIN: c_short = 0x1;
+    pub const PR_SET_TIMERSLACK: c_int = 29;
+
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
+    }
+
+    #[repr(C)]
+    pub struct Timespec {
+        pub tv_sec: c_long,
+        pub tv_nsec: c_long,
+    }
+
+    extern "C" {
+        pub fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+
+        pub fn prctl(
+            option: c_int,
+            arg2: c_ulong,
+            arg3: c_ulong,
+            arg4: c_ulong,
+            arg5: c_ulong,
+        ) -> c_int;
+    }
 }

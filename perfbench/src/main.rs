@@ -183,12 +183,15 @@ fn served_gates(rep: &mut Report, r: &served::Run, label: &str) {
     );
 }
 
-fn served_work(rep: &mut Report, spec: &served::Spec, r: &served::Run) {
+/// The fixed work of `trials` (each with the same counts), summed.
+fn served_work(rep: &mut Report, spec: &served::Spec, trials: &[served::Run]) {
+    let r = &trials[0];
+    rep.work("trials", trials.len());
     rep.work("open_rate_ops_s", spec.rate);
     rep.work("closed_window", spec.window);
-    rep.work("warm_ops", r.counts.warm);
-    rep.work("open_ops", r.counts.open);
-    rep.work("closed_ops", r.counts.closed);
+    rep.work("warm_ops_per_trial", r.counts.warm);
+    rep.work("open_ops_per_trial", r.counts.open);
+    rep.work("closed_ops_per_trial", r.counts.closed);
     rep.work("objects", spec.mix.objects);
     rep.work("read_frac", spec.mix.read_frac);
     rep.work("nodes_x_shards", format!("{}x{}", served::NODES, served::SHARDS));
@@ -197,52 +200,99 @@ fn served_work(rep: &mut Report, spec: &served::Spec, r: &served::Run) {
         if spec.durable { format!("sync_grouped({})", served::GROUP_COMMIT) } else { "off".into() },
     );
     for (c, name) in CLASSES {
-        let (m, _) = served::class_delta(&r.edges[0].net, &r.edges[2].net, c);
+        let m: u64 =
+            trials.iter().map(|r| served::class_delta(&r.edges[0].net, &r.edges[2].net, c).0).sum();
         rep.work(&format!("msgs.{name}"), m);
     }
-    let clean = |ks: &[served::Chunk]| ks.iter().filter(|k| k.clean).count();
-    rep.work("open_chunks_clean", format!("{}/{}", clean(&r.open_chunks), r.open_chunks.len()));
-    rep.work(
-        "closed_chunks_clean",
-        format!("{}/{}", clean(&r.closed_chunks), r.closed_chunks.len()),
-    );
+    let clean = |chunks: Vec<&served::Chunk>| {
+        format!("{}/{}", chunks.iter().filter(|k| k.clean).count(), chunks.len())
+    };
+    rep.work("open_chunks_clean", clean(trials.iter().flat_map(|r| &r.open_chunks).collect()));
+    rep.work("closed_chunks_clean", clean(trials.iter().flat_map(|r| &r.closed_chunks).collect()));
 }
 
 fn served_e2e(spec: &served::Spec, seed: u64, seconds: f64) -> Report {
-    let r = served::run(spec, seed, seconds, false);
+    let (n, trial_s) = served::trials(seconds);
+    // Peak RSS as of the end of the first trial: later trials run on
+    // fresh threads, and how much of the earlier trials' heap the
+    // allocator hands back to them varies from run to run.
+    let mut peak_rss_mb = 0.0;
+    let trials: Vec<served::Run> = (0..n)
+        .map(|k| {
+            let r = served::run(spec, seed, k, trial_s, false);
+            if k == 0 {
+                peak_rss_mb = procfs::peak_rss_mb();
+            }
+            r
+        })
+        .collect();
     let mut rep = Report::default();
-    served_gates(&mut rep, &r, "served");
-    served_work(&mut rep, spec, &r);
-    let (o, c, e) = (&r.open, &r.closed, &r.edges);
-    let bytes: u64 =
-        MsgClass::ALL.iter().map(|&k| served::class_delta(&e[0].net, &e[2].net, k).1).sum();
-    let levels: Vec<f64> = o.read_levels.iter().chain(&c.read_levels).copied().collect();
-    rep.attempted = o.attempted + c.attempted;
-    rep.failed = rep.attempted - o.ok - c.ok;
-    rep.put("setup_s", r.setup_s, "s");
-    rep.put("peak_rss_mb", procfs::peak_rss_mb(), "MiB");
-    let (open_chunks, closed_chunks) =
-        (served::counted(&r.open_chunks), served::counted(&r.closed_chunks));
-    let open_med = |f: fn(&served::Chunk) -> f64| median(open_chunks.iter().map(f).collect());
-    rep.put("read_p50_ms", open_med(|k| k.read_p50_ms), "ms");
-    rep.put("read_p90_ms", open_med(|k| k.read_p90_ms), "ms");
-    rep.put("write_p50_ms", open_med(|k| k.write_p50_ms), "ms");
-    rep.put("write_p90_ms", open_med(|k| k.write_p90_ms), "ms");
+    for (k, r) in trials.iter().enumerate() {
+        served_gates(&mut rep, r, &format!("trial {k}"));
+    }
+    served_work(&mut rep, spec, &trials);
+    let (mut ok, mut writes, mut bytes) = (0, 0, 0);
+    let (mut levels, mut setup_s) = (Vec::new(), Vec::new());
+    for r in &trials {
+        let (o, c, e) = (&r.open, &r.closed, &r.edges);
+        rep.attempted += o.attempted + c.attempted;
+        ok += o.ok + c.ok;
+        writes += o.writes_acked + c.writes_acked;
+        bytes += MsgClass::ALL
+            .iter()
+            .map(|&k| served::class_delta(&e[0].net, &e[2].net, k).1)
+            .sum::<u64>();
+        levels.extend(o.read_levels.iter().chain(&c.read_levels));
+        setup_s.extend(&r.setup_s);
+    }
+    let open_chunks = served::counted(trials.iter().flat_map(|r| &r.open_chunks));
+    let closed_chunks = served::counted(trials.iter().flat_map(|r| &r.closed_chunks));
+    // Resolution rounds that started inside a counted chunk of their trial.
+    let resolve_ms: Vec<f64> = trials
+        .iter()
+        .enumerate()
+        .flat_map(|(k, r)| {
+            let windows: Vec<_> = open_chunks
+                .iter()
+                .chain(&closed_chunks)
+                .filter(|c| c.trial == k)
+                .map(|c| c.window)
+                .collect();
+            r.rounds
+                .iter()
+                .filter(move |(at, _)| windows.iter().any(|&(a, b)| (a..b).contains(at)))
+                .map(|&(_, ms)| ms)
+        })
+        .collect();
+    rep.failed = rep.attempted - ok;
+    rep.put("setup_s", median(setup_s), "s");
+    rep.put("peak_rss_mb", peak_rss_mb, "MiB");
+    // Latency quantiles over every sample of the counted open-loop chunks.
+    let reads: Vec<f64> = open_chunks.iter().flat_map(|k| &k.read_ms).copied().collect();
+    let writes_ms: Vec<f64> = open_chunks.iter().flat_map(|k| &k.write_ms).copied().collect();
+    rep.put("read_p50_ms", q(&reads, 0.5), "ms");
+    rep.put("read_p90_ms", q(&reads, 0.9), "ms");
+    rep.put("write_p50_ms", q(&writes_ms, 0.5), "ms");
+    rep.put("write_p90_ms", q(&writes_ms, 0.9), "ms");
     rep.put("goodput_ops_s", median(closed_chunks.iter().map(|k| k.ok_per_s).collect()), "ops/s");
-    rep.put("server_cpu_us_per_op", open_med(|k| k.server_cpu_us_per_op), "us");
-    rep.put("ok_frac", per((o.ok + c.ok) as f64, rep.attempted), "frac");
-    rep.put("resolve_p50_ms", q(&r.resolve_ms, 0.5), "ms");
+    let cpu = open_chunks.iter().map(|k| k.server_cpu_us_per_op).collect();
+    rep.put("server_cpu_us_per_op", median(cpu), "us");
+    rep.put("ok_frac", per(ok as f64, rep.attempted), "frac");
+    rep.put("resolve_p50_ms", q(&resolve_ms, 0.5), "ms");
     rep.put("level_p1", q(&levels, 0.01), "level");
-    rep.put("wire_bytes_per_write", per(bytes as f64, o.writes_acked + c.writes_acked), "B");
+    rep.put("wire_bytes_per_write", per(bytes as f64, writes), "B");
     // The tails the gate leaves out, kept to show why (see README).
-    rep.note("client.read_p99_ms", open_med(|k| k.read_p99_ms), "ms");
-    rep.note("client.write_p99_ms", open_med(|k| k.write_p99_ms), "ms");
+    rep.note("client.read_p99_ms", q(&reads, 0.99), "ms");
+    rep.note("client.write_p99_ms", q(&writes_ms, 0.99), "ms");
     rep
 }
 
+/// Per-layer figures of the first trial, run untraced, traced, and
+/// replayed in process.
 fn served_traced(spec: &served::Spec, seed: u64, seconds: f64) -> Report {
-    let base = served::run(spec, seed, seconds, false);
-    let r = served::run(spec, seed, seconds, true);
+    let (_, seconds) = served::trials(seconds);
+    let base = served::run(spec, seed, 0, seconds, false);
+    let r = served::run(spec, seed, 0, seconds, true);
     let replay = served::replay(spec, seed, seconds);
     let (exec_reads, exec_writes) = (&replay.reads_us, &replay.writes_us);
     let mut rep = Report::default();
@@ -252,7 +302,7 @@ fn served_traced(spec: &served::Spec, seed: u64, seconds: f64) -> Report {
         replay.wrong == 0,
         &format!("in-process replay: {} replies of the wrong kind", replay.wrong),
     );
-    served_work(&mut rep, spec, &r);
+    served_work(&mut rep, spec, std::slice::from_ref(&r));
     let (o, c, e) = (&r.open, &r.closed, &r.edges);
     let ops = o.ok + c.ok;
     let writes = o.writes_acked + c.writes_acked;

@@ -2,15 +2,16 @@
 //! `Topology::lan`, real time) behind the evented `IdeaServer`, driven
 //! over loopback by the one-thread generator in [`crate::client`].
 //!
-//! Each run builds the stack several times (set-up), warms it, then runs
-//! a fixed-count open-loop phase at a fixed rate and a fixed-count
+//! A run is a series of independent trials (see [`trials`]). Each trial
+//! builds the stack several times (set-up), warms the last build, then
+//! runs a fixed-count open-loop phase at a fixed rate and a fixed-count
 //! closed-loop phase with a fixed in-flight window. Counters are read at
 //! the phase edges from `/proc`, the server and the engine.
 
 use crate::client::{ms, Client, Pacing, PhaseResult};
 use crate::planes::{self, Timed};
 use crate::procfs::{self, Group, Io};
-use crate::stats::{median, q};
+use crate::stats::median;
 use crate::stream::{self, Kind, Mix, Op, HINT};
 use idea_core::protocol::ProtocolShard;
 use idea_core::{
@@ -29,8 +30,23 @@ pub const NODES: usize = 4;
 pub const SHARDS: usize = 2;
 /// Generator connections.
 pub const CONNECTIONS: usize = 2;
-/// Stack builds per run; set-up time is their median.
-const SETUPS: usize = 7;
+/// Nominal length of one trial. An e2e run is a series of independent
+/// trials, each on a freshly built stack with its own command streams. A
+/// stack's history grows with every write (so the cost of an op drifts
+/// within a trial), and where its threads land is decided once per build;
+/// pooling the chunks of several short trials keeps both from settling a
+/// run's figures, and every trial does the same work whatever the run's
+/// length.
+const TRIAL_SECONDS: f64 = 5.0;
+
+/// How many trials a run of `seconds` makes, and how long each is.
+pub fn trials(seconds: f64) -> (usize, f64) {
+    let n = (seconds / TRIAL_SECONDS).round().max(1.0);
+    (n as usize, seconds / n)
+}
+
+/// Stack builds per trial; set-up time is the median over every trial's.
+const SETUPS: usize = 5;
 /// Group-commit window of the durable workload's WAL (fdatasync once per
 /// this many appends, on both sides of any comparison).
 pub const GROUP_COMMIT: u64 = 32;
@@ -51,7 +67,7 @@ pub struct Spec {
 
 pub const READ_MOSTLY: Spec = Spec {
     mix: Mix { nodes: NODES as u32, objects: 4096, zipf_s: 0.99, read_frac: 0.9, floor_frac: 0.2 },
-    rate: 10_000.0,
+    rate: 5_000.0,
     window: 64,
     closed_per_s: 60_000.0,
     durable: false,
@@ -59,7 +75,7 @@ pub const READ_MOSTLY: Spec = Spec {
 
 pub const DURABLE_WRITES: Spec = Spec {
     mix: Mix { nodes: NODES as u32, objects: 8, zipf_s: 0.0, read_frac: 0.1, floor_frac: 1.0 },
-    rate: 3_000.0,
+    rate: 1_500.0,
     window: 64,
     closed_per_s: 30_000.0,
     durable: true,
@@ -83,18 +99,19 @@ impl Counts {
     }
 }
 
-/// The three command streams of a run.
+/// The three command streams of a trial.
 pub struct Streams {
     pub warm: Vec<Op>,
     pub open: Vec<Op>,
     pub closed: Vec<Op>,
 }
 
-pub fn streams(spec: &Spec, seed: u64, c: Counts) -> Streams {
+pub fn streams(spec: &Spec, seed: u64, trial: usize, c: Counts) -> Streams {
+    let first = 3 * trial as u64;
     Streams {
-        warm: stream::generate(&spec.mix, seed, 0, c.warm),
-        open: stream::generate(&spec.mix, seed, 1, c.open),
-        closed: stream::generate(&spec.mix, seed, 2, c.closed),
+        warm: stream::generate(&spec.mix, seed, first, c.warm),
+        open: stream::generate(&spec.mix, seed, first + 1, c.open),
+        closed: stream::generate(&spec.mix, seed, first + 2, c.closed),
     }
 }
 
@@ -220,14 +237,14 @@ fn dir_bytes(dir: &Path) -> u64 {
     })
 }
 
-/// Set-up time: the median of [`SETUPS`] builds; all but the last are
-/// torn down again, the last one is returned for the measurement.
+/// [`SETUPS`] timed builds; all but the last are torn down again, the last
+/// one is returned for the measurement with every build's time.
 pub fn timed_setup<P>(
     spec: &Spec,
     seed: u64,
     tag: &str,
     wrap: fn(IdeaNode) -> P,
-) -> (Stack<P>, Option<WalDir>, f64)
+) -> (Stack<P>, Option<WalDir>, Vec<f64>)
 where
     P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + 'static,
 {
@@ -238,7 +255,7 @@ where
         let stack = build(spec, seed, wal.as_ref().map(WalDir::path), wrap);
         times.push(t.elapsed().as_secs_f64());
         if k + 1 == SETUPS {
-            return (stack, wal, median(times));
+            return (stack, wal, times);
         }
         teardown(stack);
     }
@@ -275,9 +292,10 @@ pub fn class_delta(a: &StatsSnapshot, b: &StatsSnapshot, c: MsgClass) -> (u64, u
     (m1.saturating_sub(m0), b1.saturating_sub(b0))
 }
 
-/// Everything one served pass measured.
+/// Everything one served trial measured.
 pub struct Run {
-    pub setup_s: f64,
+    /// Seconds each of the trial's builds took.
+    pub setup_s: Vec<f64>,
     pub counts: Counts,
     pub open: PhaseResult,
     pub closed: PhaseResult,
@@ -286,11 +304,12 @@ pub struct Run {
     pub closed_chunks: Vec<Chunk>,
     /// Edges: before open, between open and closed, after closed.
     pub edges: [Edge; 3],
-    /// Acknowledged writes over the whole run, warm-up included.
+    /// Acknowledged writes over the whole trial, warm-up included.
     pub writes_total: u64,
     pub warm_failed: u64,
-    /// Delays of the resolution rounds started during counted chunks (ms).
-    pub resolve_ms: Vec<f64>,
+    /// Start (engine time) and delay (ms) of every resolution round
+    /// started during the measured phases.
+    pub rounds: Vec<(SimTime, f64)>,
     pub resolutions: u64,
     pub useful_resolutions: u64,
     pub convergence: Convergence,
@@ -305,9 +324,10 @@ pub struct Run {
     pub plane_ns: [u64; 5],
 }
 
-/// Chunks each measured phase is split into. Each chunk is paced like the
-/// whole phase; reporting the median chunk keeps a burst of interference
-/// from outside to a minority of the evidence.
+/// Chunks each measured phase of a trial is split into (a quarter second or
+/// less each). Each chunk is paced like the whole phase; short chunks let
+/// the steal filter keep the quiet stretches between bursts of
+/// interference from outside.
 pub const CHUNKS: usize = 10;
 
 /// A chunk counts as disturbed when the hypervisor stole more than this
@@ -316,21 +336,19 @@ pub const CHUNKS: usize = 10;
 /// p90 tenfold, whatever the program does.
 const STEAL_LIMIT: f64 = 0.01;
 
-/// How many chunks of a phase its figures come from, at least: the
-/// undisturbed chunks when there are this many, otherwise this many chunks
-/// with the least steal. Disturbed chunks are not run again: that would
-/// change the work (and the history the system accumulates) between runs.
-const MIN_COUNTED: usize = CHUNKS / 2;
+/// The share of a run's chunks of one phase its figures come from, at
+/// least (one in this many): the undisturbed chunks when there are that
+/// many, otherwise that many chunks with the least steal. Disturbed chunks
+/// are not run again: that would change the work (and the history the
+/// system accumulates) between runs.
+const MIN_COUNTED_ONE_IN: usize = 10;
 
 /// The e2e figures of one chunk of a phase.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Chunk {
-    pub read_p50_ms: f64,
-    pub read_p90_ms: f64,
-    pub write_p50_ms: f64,
-    pub write_p90_ms: f64,
-    pub read_p99_ms: f64,
-    pub write_p99_ms: f64,
+    /// Latencies of the chunk's answered commands, ms.
+    pub read_ms: Vec<f64>,
+    pub write_ms: Vec<f64>,
     pub server_cpu_us_per_op: f64,
     pub ok_per_s: f64,
     /// Share of the guest's CPU capacity the hypervisor stole during the
@@ -338,30 +356,35 @@ pub struct Chunk {
     pub steal_frac: f64,
     /// Whether that stays within [`STEAL_LIMIT`].
     pub clean: bool,
-    /// Engine time the chunk spanned.
+    /// The trial the chunk belongs to, and the engine time it spanned.
+    pub trial: usize,
     pub window: (SimTime, SimTime),
 }
 
-/// The chunks a phase's figures come from: the undisturbed ones when there
-/// are at least [`MIN_COUNTED`], otherwise the [`MIN_COUNTED`] with the
-/// least steal.
-pub fn counted(chunks: &[Chunk]) -> Vec<Chunk> {
-    let clean: Vec<Chunk> = chunks.iter().copied().filter(|c| c.clean).collect();
-    if clean.len() >= MIN_COUNTED {
+/// The chunks of one phase, pooled over a run's trials, that its figures
+/// come from: the undisturbed ones when they are at least one in
+/// [`MIN_COUNTED_ONE_IN`], otherwise that many with the least steal.
+/// Pooling lets a run whose steal came in bursts count the quiet periods of
+/// any trial.
+pub fn counted<'a>(chunks: impl IntoIterator<Item = &'a Chunk>) -> Vec<&'a Chunk> {
+    let mut least: Vec<&Chunk> = chunks.into_iter().collect();
+    let least_n = (least.len() / MIN_COUNTED_ONE_IN).max(1);
+    let clean: Vec<&Chunk> = least.iter().copied().filter(|c| c.clean).collect();
+    if clean.len() >= least_n {
         return clean;
     }
-    let mut least = chunks.to_vec();
     least.sort_by(|a, b| a.steal_frac.total_cmp(&b.steal_frac));
-    least.truncate(MIN_COUNTED.max(1));
+    least.truncate(least_n);
     least
 }
 
-/// Runs `ops` in [`CHUNKS`] consecutive chunks, reading the counters and
-/// the machine's steal time at every chunk edge. Returns the merged result,
-/// the chunk figures, and the edges before the first and after the last
-/// chunk.
+/// Runs `ops` in [`CHUNKS`] consecutive chunks of trial `trial`, reading
+/// the counters and the machine's steal time at every chunk edge. Returns
+/// the merged result, the chunk figures, and the edges before the first and
+/// after the last chunk.
 fn run_chunked<P: ShardedProto + 'static>(
     stack: &mut Stack<P>,
+    trial: usize,
     ops: &[Op],
     pacing: Pacing,
     traced: bool,
@@ -379,16 +402,13 @@ fn run_chunked<P: ShardedProto + 'static>(
         let cpu_ns =
             after.threads.server_cpu_ns().saturating_sub(before.threads.server_cpu_ns()) as f64;
         chunks.push(Chunk {
-            read_p50_ms: q(&r.read_ms, 0.5),
-            read_p90_ms: q(&r.read_ms, 0.9),
-            write_p50_ms: q(&r.write_ms, 0.5),
-            write_p90_ms: q(&r.write_ms, 0.9),
-            read_p99_ms: q(&r.read_ms, 0.99),
-            write_p99_ms: q(&r.write_ms, 0.99),
+            read_ms: r.read_ms.clone(),
+            write_ms: r.write_ms.clone(),
             server_cpu_us_per_op: cpu_ns / 1e3 / r.ok.max(1) as f64,
             ok_per_s: r.ok as f64 / r.elapsed.as_secs_f64(),
             steal_frac: steal as f64 / capacity,
             clean: steal as f64 <= 1.0 + STEAL_LIMIT * capacity,
+            trial,
             window: (vt0, stack.engine.now()),
         });
         total.absorb(r);
@@ -405,48 +425,53 @@ pub struct Convergence {
     pub unconverged: u64,
 }
 
-/// One full served pass. `traced` times the codec calls and the protocol
-/// planes (through [`Timed`]); the e2e metrics come from untraced passes.
-pub fn run(spec: &Spec, seed: u64, seconds: f64, traced: bool) -> Run {
+/// One served trial of `seconds`. `traced` times the codec calls and the
+/// protocol planes (through [`Timed`]); the e2e metrics come from untraced
+/// trials.
+pub fn run(spec: &Spec, seed: u64, trial: usize, seconds: f64, traced: bool) -> Run {
     if traced {
-        run_with(spec, seed, seconds, true, Timed)
+        run_with(spec, seed, trial, seconds, true, Timed)
     } else {
-        run_with(spec, seed, seconds, false, |n| n)
+        run_with(spec, seed, trial, seconds, false, |n| n)
     }
 }
 
-fn run_with<P>(spec: &Spec, seed: u64, seconds: f64, traced: bool, wrap: fn(IdeaNode) -> P) -> Run
+fn run_with<P>(
+    spec: &Spec,
+    seed: u64,
+    trial: usize,
+    seconds: f64,
+    traced: bool,
+    wrap: fn(IdeaNode) -> P,
+) -> Run
 where
     P: ShardedProto<Msg = IdeaMsg, Shard = ProtocolShard> + Into<IdeaNode> + 'static,
 {
     let counts = Counts::of(spec, seconds);
-    let s = streams(spec, seed, counts);
+    let s = streams(spec, seed, trial, counts);
     let tag = if traced { "t" } else { "u" };
     let (mut stack, wal, setup_s) = timed_setup(spec, seed, tag, wrap);
     let pacing_open = Pacing::Open { rate: spec.rate };
     let warm = stack.client.as_mut().expect("built with a client").run(&s.warm, pacing_open, false);
     let vt0 = stack.engine.now();
     planes::reset();
-    let (open, open_chunks, e0, e1) = run_chunked(&mut stack, &s.open, pacing_open, traced);
+    let (open, open_chunks, e0, e1) = run_chunked(&mut stack, trial, &s.open, pacing_open, traced);
+    let closed_pacing = Pacing::Closed { window: spec.window };
     let (closed, closed_chunks, _, e2) =
-        run_chunked(&mut stack, &s.closed, Pacing::Closed { window: spec.window }, traced);
+        run_chunked(&mut stack, trial, &s.closed, closed_pacing, traced);
     let plane_ns = planes::totals();
     let convergence =
         if traced { converge(&stack.engine, &s.closed) } else { Convergence::default() };
     let hop_rtt_us = if traced { hop_rtt_us(&stack.engine) } else { 0.0 };
     let write_path_ns = if traced { write_path_ns(&stack.engine, spec.mix.objects) } else { 0.0 };
     let nodes: Vec<IdeaNode> = teardown(stack).into_iter().map(Into::into).collect();
-    let mut resolve_ms = Vec::new();
+    let mut rounds = Vec::new();
     let (mut resolutions, mut useful_resolutions) = (0, 0);
-    let windows: Vec<(SimTime, SimTime)> =
-        counted(&open_chunks).iter().chain(&counted(&closed_chunks)).map(|c| c.window).collect();
     for node in &nodes {
         for rec in node.resolution_log().into_iter().filter(|r| r.started >= vt0) {
             resolutions += 1;
             useful_resolutions += u64::from(rec.resolved_conflict);
-            if windows.iter().any(|&(a, b)| (a..b).contains(&rec.started)) {
-                resolve_ms.push(rec.total_delay().as_millis_f64());
-            }
+            rounds.push((rec.started, rec.total_delay().as_millis_f64()));
         }
     }
     let timed_writes = if traced { WRITE_PATH_SAMPLES as u64 } else { 0 };
@@ -473,7 +498,7 @@ where
         edges: [e0, e1, e2],
         writes_total,
         warm_failed,
-        resolve_ms,
+        rounds,
         resolutions,
         useful_resolutions,
         convergence,
@@ -610,9 +635,9 @@ where
     median(samples)
 }
 
-/// The in-process replay behind `core.exec_*`: the open phase's commands at
-/// the same rate through `CommandExecutor::dispatch` on an identically
-/// built engine with no server.
+/// The in-process replay behind `core.exec_*`: the first trial's open-phase
+/// commands at the same rate through `CommandExecutor::dispatch` on an
+/// identically built engine with no server.
 #[derive(Debug, Default)]
 pub struct Replay {
     /// Microseconds from due time to the reply callback, per kind.
@@ -624,7 +649,7 @@ pub struct Replay {
 
 pub fn replay(spec: &Spec, seed: u64, seconds: f64) -> Replay {
     let counts = Counts::of(spec, seconds);
-    let s = streams(spec, seed, counts);
+    let s = streams(spec, seed, 0, counts);
     let wal = spec.durable.then(|| WalDir::new("r"));
     let engine = start_engine(spec, seed, wal.as_ref().map(WalDir::path), |n| n);
     let warm = paced_dispatch(&engine, &s.warm, spec.rate);
@@ -635,6 +660,7 @@ pub fn replay(spec: &Spec, seed: u64, seconds: f64) -> Replay {
 }
 
 fn paced_dispatch(engine: &Arc<ShardedEngine<IdeaNode>>, ops: &[Op], rate: f64) -> Replay {
+    crate::client::precise_timers();
     let (tx, rx) = mpsc::channel::<(Kind, f64, bool)>();
     let start = Instant::now();
     for (i, op) in ops.iter().enumerate() {
@@ -678,4 +704,48 @@ pub fn shard_of(object: ObjectId) -> usize {
 
 pub fn group_delta(a: &Edge, b: &Edge, g: Group) -> procfs::ThreadCounters {
     b.threads.delta(&a.threads, g)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn chunk(steal_frac: f64, clean: bool) -> Chunk {
+        Chunk {
+            read_ms: Vec::new(),
+            write_ms: Vec::new(),
+            server_cpu_us_per_op: 0.0,
+            ok_per_s: 0.0,
+            steal_frac,
+            clean,
+            trial: 0,
+            window: (SimTime::ZERO, SimTime::ZERO),
+        }
+    }
+
+    #[test]
+    fn trials_are_about_five_seconds() {
+        assert_eq!(trials(45.0), (9, 5.0));
+        assert_eq!(trials(10.0), (2, 5.0));
+        assert_eq!(trials(0.5), (1, 0.5));
+    }
+
+    #[test]
+    fn counted_prefers_clean_chunks_then_least_steal() {
+        // 3 clean of 20: at least one in ten, so exactly the clean ones.
+        let mut chunks: Vec<Chunk> =
+            (0..20).map(|i| chunk(0.1 + i as f64 / 100.0, false)).collect();
+        for k in [2, 5, 7] {
+            chunks[k] = chunk(0.0, true);
+        }
+        let got = counted(&chunks);
+        assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|c| c.clean));
+        // 1 clean of 20: the two chunks with the least steal.
+        let mut chunks: Vec<Chunk> =
+            (0..20).map(|i| chunk(0.5 - i as f64 / 100.0, false)).collect();
+        chunks[0] = chunk(0.001, true);
+        let steals: Vec<f64> = counted(&chunks).iter().map(|c| c.steal_frac).collect();
+        assert_eq!(steals, vec![0.001, 0.5 - 19.0 / 100.0]);
+    }
 }
