@@ -134,15 +134,13 @@ struct ScenarioOpts {
     /// Resolution wire: `false` = the legacy full-EVV collect/inform
     /// forms, the `resolution_compaction` A/B leg.
     compact: bool,
-    /// Cross-object digest batching (the `gossip_scale` A/B leg).
-    batch_digests: bool,
 }
 
 impl ScenarioOpts {
     /// The measured default: config-default gossip plane, full window,
-    /// compact resolution wire, no digest batching.
+    /// compact resolution wire.
     fn default_window(window_secs: u64) -> Self {
-        Self { mode: None, window_secs, compact: true, batch_digests: false }
+        Self { mode: None, window_secs, compact: true }
     }
 }
 
@@ -166,7 +164,6 @@ fn detect_round_scenario_mode(
     let mut cfg = IdeaConfig::whiteboard(0.95);
     cfg.detect_batch_window = batch_ms.map(SimDuration::from_millis);
     cfg.compact_resolution = opts.compact;
-    cfg.batch_digests = opts.batch_digests;
     if let Some(m) = opts.mode {
         cfg.gossip.mode = m;
     }
@@ -388,93 +385,17 @@ fn sharded_drain_scenario(
 }
 
 /// One fig9 gossip-scale point: the paper workload (burst 1, no probe
-/// batching) on the shortened window, gossip plane forced to `mode` and
-/// cross-object digest batching by `batch_digests`. Traffic counts are
-/// deterministic per (n, seed, mode); wall time is reported as measured
-/// from a single run.
-fn gossip_scale_point(n: usize, seed: u64, mode: GossipMode, batch_digests: bool) -> ScenarioStats {
+/// batching) on the shortened window, gossip plane forced to `mode`.
+/// Traffic counts are deterministic per (n, seed, mode); wall time is
+/// reported as measured from a single run.
+fn gossip_scale_point(n: usize, seed: u64, mode: GossipMode) -> ScenarioStats {
     detect_round_scenario_mode(
         n,
         seed,
         1,
         None,
-        ScenarioOpts {
-            mode: Some(mode),
-            batch_digests,
-            ..ScenarioOpts::default_window(GOSSIP_SCALE_WINDOW_SECS)
-        },
+        ScenarioOpts { mode: Some(mode), ..ScenarioOpts::default_window(GOSSIP_SCALE_WINDOW_SECS) },
     )
-}
-
-/// The digest-batching A/B of the `gossip_scale` block: one *hot* object
-/// written by every writer each slot (so it probes constantly) plus seven
-/// *cold* objects of the same shard written round-robin — too sparse for
-/// a top layer of their own, so their pending lazy advertisements
-/// otherwise wait on per-object flush timers. With cross-object batching
-/// ([`IdeaConfig::batch_digests`], off by default to preserve shard
-/// equivalence) those adverts hitch on the hot object's detect frames
-/// instead: flush-timer gossip frames disappear, detect frames fatten.
-/// This leg counts both sides of that trade; an all-hot or single-object
-/// workload cannot — every hot object drains its own outbox on its own
-/// detect round at the same instant, batched or not.
-fn digest_batch_scenario(n: usize, seed: u64, batch: bool) -> ScenarioStats {
-    const OBJECTS: u64 = 8;
-    let objects: Vec<ObjectId> = (1..=OBJECTS).map(ObjectId).collect();
-    let mut cfg = IdeaConfig::whiteboard(0.95);
-    cfg.gossip.mode = GossipMode::Lazy;
-    cfg.batch_digests = batch;
-    let nodes: Vec<IdeaNode> =
-        (0..n).map(|i| IdeaNode::new(NodeId(i as u32), cfg.clone(), &objects)).collect();
-    let mut eng = SimEngine::new(
-        Topology::planetlab(n, seed),
-        SimConfig { seed, ..Default::default() },
-        nodes,
-    );
-    let start = Instant::now();
-    let writers = WRITERS.min(n);
-    let end = SimTime::ZERO + SimDuration::from_secs(GOSSIP_SCALE_WINDOW_SECS);
-    let hot = objects[0];
-    let mut cold_slot = 0u64;
-    let mut next_write: Vec<SimTime> =
-        (0..writers).map(|w| SimTime::ZERO + SimDuration::from_secs(w as u64)).collect();
-    loop {
-        let t = next_write.iter().copied().min().expect("at least one writer");
-        if t > end {
-            break;
-        }
-        eng.run_until(t);
-        for (w, next) in next_write.iter_mut().enumerate() {
-            if *next == t {
-                let cold = objects[1 + (cold_slot % (OBJECTS - 1)) as usize];
-                cold_slot += 1;
-                eng.with_node(NodeId(w as u32), |p, ctx| {
-                    // Cold first: its announce adverts are in the outbox
-                    // when the hot write's detect round goes out, which is
-                    // the piggyback opportunity batching exists to take
-                    // (hot first, and the 200 ms flush timer always beats
-                    // the next probe, 2 s away).
-                    p.local_write(cold, 1, UpdatePayload::none(), ctx);
-                    p.local_write(hot, 1, UpdatePayload::none(), ctx);
-                });
-                *next = t + SimDuration::from_secs(WRITE_PERIOD_SECS);
-            }
-        }
-    }
-    eng.run_until(end + SimDuration::from_secs(5));
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let s = eng.stats();
-    ScenarioStats {
-        n,
-        detect_msgs: s.messages(MsgClass::Detect),
-        detect_bytes: s.payload_bytes(MsgClass::Detect),
-        gossip_msgs: s.messages(MsgClass::Gossip),
-        gossip_bytes: s.payload_bytes(MsgClass::Gossip),
-        resolution_msgs: s.messages(MsgClass::ResolutionCtl) + s.messages(MsgClass::Transfer),
-        resolution_bytes: s.payload_bytes(MsgClass::ResolutionCtl)
-            + s.payload_bytes(MsgClass::Transfer),
-        total_msgs: s.total_messages(),
-        wall_ms,
-    }
 }
 
 /// Min-of-three wall clock over identical deterministic runs (the minimum
@@ -544,15 +465,11 @@ fn gossip_scale_json(seed: u64, sizes: &[usize]) -> String {
         .iter()
         .map(|&n| {
             (
-                gossip_scale_point(n, seed, GossipMode::Eager, false),
-                gossip_scale_point(n, seed, GossipMode::Lazy, false),
+                gossip_scale_point(n, seed, GossipMode::Eager),
+                gossip_scale_point(n, seed, GossipMode::Lazy),
             )
         })
         .collect();
-    // Digest-batching A/B at a fixed small point (the satellite's byte
-    // accounting): same multi-object workload, batching off vs on.
-    let batch_off = digest_batch_scenario(40, seed, false);
-    let batch_on = digest_batch_scenario(40, seed, true);
     let mut out = String::new();
     let _ = writeln!(out, "  \"gossip_scale\": {{");
     let _ = writeln!(out, "    \"window_secs\": {GOSSIP_SCALE_WINDOW_SECS},");
@@ -581,24 +498,7 @@ fn gossip_scale_json(seed: u64, sizes: &[usize]) -> String {
         let comma = if i + 1 == points.len() { "" } else { "," };
         let _ = writeln!(out, "      {{\"n\": {}, \"factor\": {factor:.3}}}{comma}", eager.n);
     }
-    let _ = writeln!(out, "    ],");
-    // Cross-object digest batching (opt-in `batch_digests`): eight objects
-    // on one shard, N=40, lazy plane — how many detect/gossip frames the
-    // piggybacked DigestGroups save and what the fatter frames cost.
-    let _ = writeln!(out, "    \"digest_batching_n40_8objs\": {{");
-    let _ = writeln!(out, "      \"off\": {},", batch_off.json());
-    let _ = writeln!(out, "      \"on\": {},", batch_on.json());
-    let _ = writeln!(
-        out,
-        "      \"on_over_off_detect_bytes\": {:.3},",
-        batch_on.detect_bytes as f64 / batch_off.detect_bytes.max(1) as f64
-    );
-    let _ = writeln!(
-        out,
-        "      \"on_over_off_total_msgs\": {:.3}",
-        batch_on.total_msgs as f64 / batch_off.total_msgs.max(1) as f64
-    );
-    let _ = writeln!(out, "    }}");
+    let _ = writeln!(out, "    ]");
     out.push_str("  }");
     out
 }

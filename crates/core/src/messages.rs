@@ -28,12 +28,10 @@ use serde::{Deserialize, Serialize};
 
 /// One object's worth of piggybacked lazy-gossip advertisements.
 ///
-/// Detect traffic carries digests for **any** object sharing the frame's
-/// shard, not just the object being probed — one probe flushes every
-/// pending IHAVE bound for that peer (cross-object digest batching). Each
-/// group costs an 8-byte object header plus [`DIGEST_ENTRY_BYTES`] per
-/// advertised rumor; an empty group list costs zero bytes, so eager-mode
-/// accounting is unchanged.
+/// A detect frame carries the probed object's pending IHAVEs for its
+/// peer. Each group costs an 8-byte object header plus
+/// [`DIGEST_ENTRY_BYTES`] per advertised rumor; an empty group list costs
+/// zero bytes, so eager-mode accounting is unchanged.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DigestGroup {
     /// Object the advertised rumors sweep.

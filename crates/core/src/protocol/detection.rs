@@ -61,32 +61,16 @@ pub(crate) struct Detection {
     batch_armed: bool,
 }
 
-/// Drains the pending IHAVEs bound for `peer` into per-object digest
-/// groups for piggybacking on a detect frame. Always drains the probed
-/// object's outbox; with [`crate::IdeaConfig::batch_digests`] set it also
-/// drains **every other** object of the shard (its groups follow the
-/// probed object's, in object order), so one frame flushes the shard's
-/// whole outbox for that peer instead of waiting on each object's own
-/// detect traffic or flush timer (cross-object digest batching).
-fn batched_digests(core: &mut NodeCore, primary: ObjectId, peer: NodeId) -> Vec<DigestGroup> {
-    let mut groups = Vec::new();
-    let ids = core.obj_mut(primary).lazy.take_outbox(peer);
-    if !ids.is_empty() {
-        groups.push(DigestGroup { object: primary, ids });
+/// Drains the probed object's pending IHAVEs bound for `peer` into the
+/// digest group piggybacked on a detect frame (none when nothing is
+/// queued).
+fn piggybacked_digests(core: &mut NodeCore, object: ObjectId, peer: NodeId) -> Vec<DigestGroup> {
+    let ids = core.obj_mut(object).lazy.take_outbox(peer);
+    if ids.is_empty() {
+        Vec::new()
+    } else {
+        vec![DigestGroup { object, ids }]
     }
-    if !core.cfg.batch_digests {
-        return groups;
-    }
-    for (&object, shared) in core.objs.iter_mut() {
-        if object == primary {
-            continue;
-        }
-        let ids = shared.lazy.take_outbox(peer);
-        if !ids.is_empty() {
-            groups.push(DigestGroup { object, ids });
-        }
-    }
-    groups
 }
 
 impl Detection {
@@ -155,9 +139,8 @@ impl Detection {
         self.round_objects.insert(rid, object);
         for p in peers {
             // Pending lazy-gossip advertisements for this peer hitch a ride
-            // (zero wire bytes when none are queued) — from every object of
-            // the shard, not just the probed one.
-            let digests = batched_digests(core, object, p);
+            // (zero wire bytes when none are queued).
+            let digests = piggybacked_digests(core, object, p);
             ctx.send(
                 p,
                 IdeaMsg::DetectRequest { round: rid, object, summary: summary.clone(), digests },
@@ -193,7 +176,7 @@ impl Detection {
             (delta, pair)
         };
         // Reply first, then update local estimates.
-        let digests = batched_digests(core, object, from);
+        let digests = piggybacked_digests(core, object, from);
         ctx.send(from, IdeaMsg::DetectReply { round, object, delta, digests });
         let now = ctx.now();
         core.note_counters(object, &summary.counters, now);

@@ -33,9 +33,9 @@
 //! `SharedCore`, never another shard.
 //!
 //! On the deterministic simulator [`IdeaNode`] routes events to shards
-//! in-process, so semantics are engine-independent; the threaded engine can
-//! instead split the shards onto per-node workers
-//! (`idea_net::ShardedEngine`) and process disjoint objects concurrently.
+//! in-process, so semantics are engine-independent; the threaded runtime
+//! (`idea_net::ShardedEngine`) instead splits the shards onto per-node
+//! workers and processes disjoint objects concurrently.
 //!
 //! Each subsystem is a narrow struct with an explicit handle-message /
 //! handle-timer surface; cross-subsystem effects flow through return values
@@ -137,7 +137,7 @@ pub(crate) struct ObjShared {
 ///
 /// Everything here is either atomic or behind a short-critical-section
 /// mutex, so shard workers on different threads can touch it without
-/// ordering constraints; on the single-threaded engines the synchronisation
+/// ordering constraints; on the single-threaded simulator the synchronisation
 /// is uncontended and the behaviour deterministic.
 pub(crate) struct SharedCore {
     /// The adaptive hint controller: one learned floor per node (§4.6).

@@ -1,8 +1,8 @@
 //! The [`IdeaNode`]: a vector of [`ProtocolShard`]s — each composing the
 //! write-path, detection and resolution subsystems over its own
 //! `NodeCore` — routed by `ObjectId` hash, plus the node-wide
-//! `SharedCore`. Implements [`Proto`] for the single-threaded engines;
-//! the threaded engine may instead split the shards onto workers via
+//! `SharedCore`. Implements [`Proto`] for the single-threaded simulator;
+//! the threaded runtime instead splits the shards onto workers via
 //! [`idea_net::ShardedProto`].
 
 use super::detection::Detection;

@@ -7,14 +7,17 @@
 //! * [`sim::SimEngine`] — a deterministic discrete-event simulator in virtual
 //!   time. All figures and tables of the paper are regenerated on it; a
 //!   seed fully determines a run.
-//! * [`threaded::ThreadedEngine`] — one OS thread per node, crossbeam
-//!   channels for links, a router thread injecting the same latency model in
-//!   wall-clock time. Used by examples and integration tests to demonstrate
-//!   the protocol under real concurrency.
+//! * [`threaded::ShardedEngine`] — the threaded runtime: `S` worker threads
+//!   per node (one per [`ShardedProto`] shard; `S = 1` is one worker per
+//!   node), crossbeam channels for links, and one router thread per shard
+//!   injecting the same latency model in wall-clock time. It runs the
+//!   protocol under real concurrency for the examples, the integration
+//!   tests and the TCP server.
 //!
-//! Protocol logic implements [`Proto`] and interacts with the world only
-//! through [`Context`] (time, identity, sends, timers, RNG), which is what
-//! makes the two engines interchangeable.
+//! Protocol logic implements [`Proto`] (and [`ShardedProto`] to run on
+//! threads) and interacts with the world only through [`Context`] (time,
+//! identity, sends, timers, RNG), which is what makes the two engines
+//! interchangeable.
 //!
 //! [`topology::Topology`] captures the WAN shape (per-pair one-way delays);
 //! [`latency::LatencyModel`] adds per-message jitter; [`stats::NetStats`]
@@ -36,6 +39,6 @@ pub use latency::{Jitter, LatencyModel};
 pub use proto::{Context, Proto, ShardedProto, TimerId, Wire};
 pub use sim::{Quiescence, SimConfig, SimEngine};
 pub use stats::{MsgClass, NetStats, StatsSnapshot};
-pub use threaded::{shards_from_env, ShardedEngine, ThreadedConfig, ThreadedEngine};
+pub use threaded::{shards_from_env, ShardedEngine, ThreadedConfig};
 pub use topology::{Region, Topology};
 pub use wheel::TimerWheel;

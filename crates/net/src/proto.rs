@@ -3,7 +3,8 @@
 //! A protocol node is a state machine reacting to messages and timers. It
 //! never reads wall-clock time, never owns sockets, and draws randomness only
 //! from its [`Context`] — which is what makes a run on the discrete-event
-//! engine deterministic and a run on the threaded engine faithful.
+//! engine deterministic and a run on the threaded runtime
+//! ([`crate::ShardedEngine`]) faithful.
 
 use crate::stats::MsgClass;
 use idea_types::{NodeId, SimDuration, SimTime};
@@ -28,7 +29,7 @@ pub trait Wire {
 /// The world as seen by a protocol node while handling one event.
 pub trait Context<M> {
     /// Current time. Virtual on the simulator, wall-clock-derived on the
-    /// threaded engine.
+    /// threaded runtime.
     fn now(&self) -> SimTime;
 
     /// This node's identity.
@@ -105,8 +106,8 @@ pub trait ShardedProto: Proto {
 
 /// A protocol state machine.
 ///
-/// Implementations must be `Send` so the threaded engine can own them on
-/// worker threads.
+/// Implementations must be `Send` so an engine holding them can move
+/// between threads.
 pub trait Proto: Send {
     /// Message type exchanged between nodes of this protocol.
     type Msg: Wire + Clone + Send + std::fmt::Debug + 'static;

@@ -3,7 +3,7 @@
 //! in-process threaded engine.
 
 use idea_core::{Command, CommandExecutor, EngineHandle, IdeaConfig, IdeaNode, Response, Session};
-use idea_net::{ThreadedConfig, ThreadedEngine, Topology};
+use idea_net::{ShardedEngine, ThreadedConfig, Topology};
 use idea_transport::{IdeaServer, RemoteEngine};
 use idea_types::{NodeId, ObjectId, UpdatePayload, WireError};
 use parking_lot::Mutex;
@@ -89,10 +89,10 @@ fn remote_submits_pipeline_without_round_trips() {
 fn threaded_submits_do_not_block_on_a_busy_worker() {
     const WRITES: usize = 64;
     let nodes = vec![IdeaNode::new(NodeId(0), IdeaConfig::default(), &[OBJ])];
-    let mut eng = ThreadedEngine::start(Topology::lan(1), ThreadedConfig::default(), nodes);
+    let mut eng = ShardedEngine::start(Topology::lan(1), ThreadedConfig::default(), nodes);
 
-    // Occupy the node thread so any hidden execute-and-wait would stall.
-    eng.invoke(NodeId(0), |_, _| std::thread::sleep(Duration::from_millis(400)));
+    // Occupy the node's worker so any hidden execute-and-wait would stall.
+    eng.invoke(NodeId(0), 0, |_, _| std::thread::sleep(Duration::from_millis(400)));
 
     let started = Instant::now();
     let mut session = Session::open(&mut eng, NodeId(0));

@@ -6,10 +6,10 @@
 //! ```
 //!
 //! The session code below is engine-agnostic: `Session::open` works
-//! identically against `SimEngine`, `ThreadedEngine` and `ShardedEngine`
-//! (see `examples/threaded_cluster.rs` for the same API on real threads,
-//! and `examples/whiteboard_session.rs` for the low-level closure escape
-//! hatch).
+//! identically against the simulated `SimEngine` and the threaded
+//! `ShardedEngine` (see `examples/threaded_cluster.rs` for the same API on
+//! real threads, and `examples/whiteboard_session.rs` for the low-level
+//! closure escape hatch).
 
 use idea::prelude::*;
 

@@ -1,8 +1,7 @@
 //! The same IDEA protocol on real OS threads — driven through the typed
 //! client layer. `drive()` below is written once against [`EngineHandle`]
-//! and runs unchanged on the plain per-node [`ThreadedEngine`] and on the
-//! [`ShardedEngine`]'s per-shard workers: set `THREADED_SHARDS` > 1 to
-//! switch engines (the CI matrix runs both).
+//! and runs on the [`ShardedEngine`] with one worker per node, or with
+//! `THREADED_SHARDS` workers per node (the CI matrix runs 1 and 4).
 //!
 //! ```bash
 //! cargo run --example threaded_cluster
@@ -59,21 +58,11 @@ fn main() {
         (0..N).map(|i| IdeaNode::new(NodeId(i as u32), idea_cfg.clone(), &[OBJECT])).collect();
     let topo = Topology::planetlab(N, 3);
 
-    let metas: Vec<i64> = if shards > 1 {
-        println!("running on ShardedEngine ({shards} shard workers per node)");
-        let mut net = ShardedEngine::start(topo, tcfg, nodes);
-        drive(&mut net, |e, d| e.sleep_virtual(d));
-        thread::sleep(Duration::from_millis(200)); // stragglers
-        let states = net.stop();
-        states.iter().map(|s| s.report(OBJECT).meta).collect()
-    } else {
-        println!("running on ThreadedEngine (one worker per node)");
-        let mut net = ThreadedEngine::start(topo, tcfg, nodes);
-        drive(&mut net, |e, d| e.sleep_virtual(d));
-        thread::sleep(Duration::from_millis(200)); // stragglers
-        let states = net.stop();
-        states.iter().map(|s| s.report(OBJECT).meta).collect()
-    };
+    println!("running on ShardedEngine ({shards} shard workers per node)");
+    let mut net = ShardedEngine::start(topo, tcfg, nodes);
+    drive(&mut net, |e, d| e.sleep_virtual(d));
+    thread::sleep(Duration::from_millis(200)); // stragglers
+    let metas: Vec<i64> = net.stop().iter().map(|s| s.report(OBJECT).meta).collect();
 
     if metas_converged(&metas) {
         println!("\nall replicas converged on the threaded runtime ✓");

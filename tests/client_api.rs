@@ -1,7 +1,8 @@
 //! The acceptance pin for the typed client layer: **one** session-based
 //! application function, compiled once against [`EngineHandle`], exercised
-//! unchanged on all three engines — the deterministic [`SimEngine`], the
-//! per-node [`ThreadedEngine`], and the per-shard-worker [`ShardedEngine`].
+//! unchanged on every engine — the deterministic [`SimEngine`] and the
+//! threaded [`ShardedEngine`], at one worker per node and at
+//! `THREADED_SHARDS` (default 2) workers per node.
 
 use idea::prelude::*;
 use std::thread;
@@ -96,14 +97,16 @@ fn the_same_session_code_runs_on_the_sim_engine() {
     assert!(resolutions >= 1, "the demanded resolution must complete");
 }
 
+/// One worker per node, whatever `THREADED_SHARDS` says: together with
+/// the sharded test below, every run covers both shapes of the runtime.
 #[test]
 fn the_same_session_code_runs_on_the_threaded_engine() {
     let nodes: Vec<IdeaNode> = (0..N)
         .map(|i| IdeaNode::new(NodeId(i as u32), IdeaConfig::whiteboard(0.0), &[OBJ_A, OBJ_B]))
         .collect();
-    let mut eng = ThreadedEngine::start(
+    let mut eng = ShardedEngine::start(
         Topology::planetlab(N, 9),
-        ThreadedConfig { seed: 9, time_scale: 0.02, ..Default::default() },
+        ThreadedConfig { seed: 9, time_scale: 0.02, shards: 1 },
         nodes,
     );
     let (out, _) = drive(&mut eng, |e, d| e.sleep_virtual(d));
@@ -145,7 +148,7 @@ fn small_sharded_fleet(shards: usize) -> ShardedEngine<IdeaNode> {
 
 /// A rejected re-weighting dissatisfaction (unknown object) on the sharded
 /// engine must mutate **nothing** — no shard's weights may move, matching
-/// the single-worker engines' up-front checks.
+/// the whole-node path's up-front checks.
 #[test]
 fn sharded_dissatisfied_rejects_atomically() {
     let mut eng = small_sharded_fleet(4);

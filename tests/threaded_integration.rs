@@ -1,5 +1,7 @@
-//! The IDEA protocol under real concurrency: the threaded engine drives the
+//! The IDEA protocol under real concurrency: the threaded runtime drives the
 //! same state machines over crossbeam channels with injected WAN latency.
+//! The single-object tests run at `THREADED_SHARDS` workers per node
+//! (default 1, one worker per node).
 
 use idea::prelude::*;
 use std::thread;
@@ -7,22 +9,26 @@ use std::time::Duration;
 
 const OBJ: ObjectId = ObjectId(1);
 
-fn threaded_cluster(n: usize, seed: u64) -> ThreadedEngine<IdeaNode> {
+/// A cluster replicating `OBJ`, and the shard worker that owns it.
+fn threaded_cluster(n: usize, seed: u64) -> (ShardedEngine<IdeaNode>, usize) {
+    let shards = shards_from_env(1);
+    let cfg = IdeaConfig { store_shards: shards, ..Default::default() };
     let nodes: Vec<IdeaNode> =
-        (0..n).map(|i| IdeaNode::new(NodeId(i as u32), IdeaConfig::default(), &[OBJ])).collect();
-    ThreadedEngine::start(
+        (0..n).map(|i| IdeaNode::new(NodeId(i as u32), cfg.clone(), &[OBJ])).collect();
+    let net = ShardedEngine::start(
         Topology::planetlab(n, seed),
-        ThreadedConfig { seed, time_scale: 0.02, ..Default::default() },
+        ThreadedConfig { seed, time_scale: 0.02, shards },
         nodes,
-    )
+    );
+    (net, ShardId::of(OBJ, shards).index())
 }
 
 #[test]
 fn threaded_cluster_forms_top_layer_and_resolves() {
-    let net = threaded_cluster(4, 1);
+    let (net, s) = threaded_cluster(4, 1);
     for _ in 0..3 {
         for w in 0..4u32 {
-            net.invoke(NodeId(w), move |p, ctx| {
+            net.invoke(NodeId(w), s, move |p, ctx| {
                 p.local_write(OBJ, 1, UpdatePayload::none(), ctx);
             });
             net.sleep_virtual(SimDuration::from_millis(400));
@@ -30,16 +36,16 @@ fn threaded_cluster_forms_top_layer_and_resolves() {
     }
     net.sleep_virtual(SimDuration::from_secs(4));
 
-    let members = net.query(NodeId(0), |p, _| p.report(OBJ).top_members);
+    let members = net.query(NodeId(0), s, |p, _| p.report(OBJ).top_members);
     assert!(members.len() >= 3, "top layer too small on threads: {members:?}");
 
     for w in 0..4u32 {
-        net.invoke(NodeId(w), move |p, ctx| {
+        net.invoke(NodeId(w), s, move |p, ctx| {
             p.local_write(OBJ, 5, UpdatePayload::none(), ctx);
         });
     }
     net.sleep_virtual(SimDuration::from_secs(2));
-    net.invoke(NodeId(0), |p, ctx| p.demand_active_resolution(OBJ, ctx));
+    net.invoke(NodeId(0), s, |p, ctx| p.demand_active_resolution(OBJ, ctx));
     net.sleep_virtual(SimDuration::from_secs(8));
     thread::sleep(Duration::from_millis(300));
 
@@ -54,9 +60,9 @@ fn threaded_cluster_forms_top_layer_and_resolves() {
 
 #[test]
 fn threaded_engine_reports_stats() {
-    let net = threaded_cluster(3, 2);
+    let (net, s) = threaded_cluster(3, 2);
     for w in 0..3u32 {
-        net.invoke(NodeId(w), move |p, ctx| {
+        net.invoke(NodeId(w), s, move |p, ctx| {
             p.local_write(OBJ, 1, UpdatePayload::none(), ctx);
         });
     }
@@ -138,12 +144,12 @@ fn sharded_threaded_cluster_converges_per_object() {
 
 #[test]
 fn query_reads_consistent_state_from_node_thread() {
-    let net = threaded_cluster(3, 3);
-    net.invoke(NodeId(1), |p, ctx| {
+    let (net, s) = threaded_cluster(3, 3);
+    net.invoke(NodeId(1), s, |p, ctx| {
         p.local_write(OBJ, 42, UpdatePayload::none(), ctx);
     });
-    // query is serialised on the node's own thread, so it observes the write.
-    let meta = net.query(NodeId(1), |p, _| p.report(OBJ).meta);
+    // query is serialised on the object's own worker, so it observes the write.
+    let meta = net.query(NodeId(1), s, |p, _| p.report(OBJ).meta);
     assert_eq!(meta, 42);
     net.stop();
 }
