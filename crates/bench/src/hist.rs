@@ -1,7 +1,7 @@
 //! A fixed-bucket latency histogram: bounded memory, O(1) record,
-//! mergeable, with percentile read-out — what the fan-in benchmark uses to
-//! track p50/p99/p999 across tens of thousands of samples (and to ship a
-//! child process's measurements to its parent as text).
+//! mergeable, with percentile read-out — p50/p99/p999 across tens of
+//! thousands of samples, with a text form to ship one process's
+//! measurements to another.
 //!
 //! Bucketing is HDR-style log-linear: one *major* per power of two of the
 //! value, split into `MINORS_PER_MAJOR` linear *minors* — so bucket

@@ -117,15 +117,6 @@ pub struct IdeaConfig {
     /// own timer over its own dirty objects), so probe *timing* can differ
     /// across shard counts while convergence is unaffected.
     pub store_shards: usize,
-    /// Use the compact resolution wire forms: collect answers ship a
-    /// `VvDelta` against the initiator's probe summary instead of the full
-    /// extended vector, and `Inform` encodes the reference as per-writer
-    /// overrides against the member's own collect answer where that is
-    /// smaller. Message count, order and the chosen reference are
-    /// bit-identical to the full forms (pinned by the
-    /// resolution-compaction equivalence tests) — only bytes change, so
-    /// the default is on. `false` restores the PR-1 full-EVV wire.
-    pub compact_resolution: bool,
     /// Upper bound on the updates carried by a single `FetchReply` frame.
     /// A far-behind replica streams its backlog in chunks of this size
     /// (each reply's `done` flag drives a continuation `FetchRequest`
@@ -170,7 +161,6 @@ impl Default for IdeaConfig {
             rollback_resolve: true,
             parallel_phase2: false,
             store_shards: 1,
-            compact_resolution: true,
             max_fetch_updates: None,
             durability: DurabilityConfig::off(),
         }
@@ -308,7 +298,6 @@ mod tests {
         assert!(c.detect_batch_window.is_none(), "paper probes per trigger by default");
         assert!(c.summary_tail > 0, "probes must carry some timestamp tail");
         assert_eq!(c.store_shards, 1, "default is the paper's unsharded store");
-        assert!(c.compact_resolution, "compact wire forms are byte-equivalent in behaviour");
         assert!(c.max_fetch_updates.is_none(), "fetch chunking is opt-in");
         assert!(!c.durability.enabled(), "durability is opt-in (pinned traces unchanged)");
     }

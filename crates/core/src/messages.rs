@@ -15,15 +15,13 @@
 //! losslessly on the initiator), [`IdeaMsg::Inform`] encodes the chosen
 //! reference as per-writer overrides against the member's own collect
 //! answer ([`ReferenceWire`]), and [`IdeaMsg::FetchReply`] streams missing
-//! updates in bounded chunks driven by a `done` continuation flag. The
-//! full-[`ExtendedVersionVector`] [`IdeaMsg::CollectReply`] survives only
-//! as the `compact_resolution = false` legacy form.
+//! updates in bounded chunks driven by a `done` continuation flag.
 
 use crate::resolution::ReferenceWire;
 use idea_net::{MsgClass, Wire};
 use idea_overlay::gossip::{RumorId, DIGEST_ENTRY_BYTES};
 use idea_types::{ObjectId, Update};
-use idea_vv::{ExtendedVersionVector, VersionVector, VvDelta, VvSummary};
+use idea_vv::{VersionVector, VvDelta, VvSummary};
 use serde::{Deserialize, Serialize};
 
 /// One object's worth of piggybacked lazy-gossip advertisements.
@@ -107,27 +105,16 @@ pub enum IdeaMsg {
         rid: u64,
         /// Object being resolved.
         object: ObjectId,
-        /// Compact summary of the initiator's own vector. `Some` asks the
-        /// member to answer with an [`IdeaMsg::CollectDelta`] against it;
-        /// `None` is the legacy form answered by a full
-        /// [`IdeaMsg::CollectReply`].
-        probe: Option<VvSummary>,
-    },
-    /// Member → initiator: the member's vector (legacy full form, used
-    /// when the collect request carried no probe).
-    CollectReply {
-        /// Echoed resolution id.
-        rid: u64,
-        /// Object being resolved.
-        object: ObjectId,
-        /// The member's extended version vector.
-        evv: ExtendedVersionVector,
+        /// Compact summary of the initiator's own vector; the member
+        /// answers with an [`IdeaMsg::CollectDelta`] against it.
+        probe: VvSummary,
     },
     /// Member → initiator: the member's vector as suffixes beyond the
     /// request's probe. The initiator reconstructs the full vector
     /// losslessly against the snapshot it probed with
-    /// ([`ExtendedVersionVector::reconstruct`]), so reference selection is
-    /// bit-identical to the legacy reply at a fraction of the bytes.
+    /// ([`idea_vv::ExtendedVersionVector::reconstruct`]), so reference
+    /// selection sees exactly the vector a full-vector answer would carry,
+    /// at a fraction of the bytes.
     CollectDelta {
         /// Echoed resolution id.
         rid: u64,
@@ -230,7 +217,6 @@ impl IdeaMsg {
             | IdeaMsg::CallForAttention { object, .. }
             | IdeaMsg::Attention { object, .. }
             | IdeaMsg::CollectRequest { object, .. }
-            | IdeaMsg::CollectReply { object, .. }
             | IdeaMsg::CollectDelta { object, .. }
             | IdeaMsg::Inform { object, .. }
             | IdeaMsg::FetchRequest { object, .. }
@@ -251,7 +237,6 @@ impl Wire for IdeaMsg {
             IdeaMsg::CallForAttention { .. }
             | IdeaMsg::Attention { .. }
             | IdeaMsg::CollectRequest { .. }
-            | IdeaMsg::CollectReply { .. }
             | IdeaMsg::CollectDelta { .. }
             | IdeaMsg::Inform { .. }
             | IdeaMsg::FetchRequest { .. } => MsgClass::ResolutionCtl,
@@ -273,12 +258,9 @@ impl Wire for IdeaMsg {
                 24 + delta.wire_bytes() + digest_bytes(digests)
             }
             IdeaMsg::SweepDivergence { delta, .. } => 24 + delta.wire_bytes(),
-            IdeaMsg::CollectReply { evv, .. } => 24 + evv_size(evv),
             IdeaMsg::CollectDelta { delta, .. } => 24 + delta.wire_bytes(),
             IdeaMsg::CallForAttention { .. } | IdeaMsg::Attention { .. } => 24,
-            IdeaMsg::CollectRequest { probe, .. } => {
-                24 + probe.as_ref().map_or(0, VvSummary::wire_bytes)
-            }
+            IdeaMsg::CollectRequest { probe, .. } => 24 + probe.wire_bytes(),
             IdeaMsg::Inform { reference, .. } => 24 + reference.wire_bytes(),
             IdeaMsg::FetchRequest { have, .. } => 24 + 12 * have.writers(),
             IdeaMsg::FetchReply { updates, .. } => {
@@ -292,18 +274,11 @@ impl Wire for IdeaMsg {
     }
 }
 
-/// Approximate serialized size of a full extended version vector: per writer
-/// an id+count header plus one timestamp per recorded update. Only the
-/// legacy (`compact_resolution = false`) collect reply still pays this.
-fn evv_size(evv: &ExtendedVersionVector) -> usize {
-    let writers = evv.counters().writers();
-    16 + 12 * writers + 8 * evv.total() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use idea_types::{SimTime, WriterId};
+    use idea_vv::ExtendedVersionVector;
 
     fn sample_evv() -> ExtendedVersionVector {
         let mut v = ExtendedVersionVector::new();
@@ -476,15 +451,16 @@ mod tests {
     /// The resolution-plane analogue of
     /// [`detect_messages_are_history_independent`]: a collect answer to a
     /// nearly-caught-up initiator costs bytes proportional to the gap, not
-    /// to the 500-update history the legacy reply ships.
+    /// to the 500-update history a full-vector answer would ship.
     #[test]
     fn collect_delta_scales_with_divergence_not_history() {
         let mut long = ExtendedVersionVector::new();
         for s in 1..=500 {
             long.record(WriterId(0), s, SimTime::from_secs(s), 1);
         }
-        let legacy = IdeaMsg::CollectReply { rid: 1, object: ObjectId(0), evv: long.clone() };
-        assert!(legacy.wire_size() > 4000, "got {}", legacy.wire_size());
+        // A full-vector answer: frame header, vector header, one writer
+        // entry and one timestamp per recorded update.
+        let full_reply = 24 + 16 + 12 + 8 * 500;
 
         // The initiator is one update behind; its probe advertises w0:499.
         let mut probe_state = ExtendedVersionVector::new();
@@ -492,10 +468,8 @@ mod tests {
             probe_state.record(WriterId(0), s, SimTime::from_secs(s), 1);
         }
         let probe = probe_state.summary(8);
-        let request =
-            IdeaMsg::CollectRequest { rid: 1, object: ObjectId(0), probe: Some(probe.clone()) };
-        let legacy_request = IdeaMsg::CollectRequest { rid: 1, object: ObjectId(0), probe: None };
-        assert_eq!(request.wire_size(), legacy_request.wire_size() + probe.wire_bytes());
+        let request = IdeaMsg::CollectRequest { rid: 1, object: ObjectId(0), probe: probe.clone() };
+        assert_eq!(request.wire_size(), 24 + probe.wire_bytes());
 
         let compact = IdeaMsg::CollectDelta {
             rid: 1,
@@ -503,8 +477,8 @@ mod tests {
             delta: long.suffix_since(&probe.counters),
         };
         assert!(compact.wire_size() < 96, "got {}", compact.wire_size());
-        // Request + answer together still undercut one legacy reply.
-        assert!(request.wire_size() + compact.wire_size() < legacy.wire_size());
+        // Request + answer together still undercut one full-vector answer.
+        assert!(request.wire_size() + compact.wire_size() < full_reply);
 
         // An Inform whose member already acked the sanctioned counts is a
         // near-empty override list; the full fallback form costs exactly

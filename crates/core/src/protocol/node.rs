@@ -158,9 +158,6 @@ impl ProtocolShard {
             IdeaMsg::CollectRequest { rid, object, probe } => {
                 self.resolution.on_collect_request(core, from, rid, object, probe, ctx)
             }
-            IdeaMsg::CollectReply { rid, object, evv } => {
-                self.resolution.on_collect_reply(core, from, rid, object, evv, ctx)
-            }
             IdeaMsg::CollectDelta { rid, object, delta } => {
                 self.resolution.on_collect_delta(core, from, rid, object, delta, ctx)
             }

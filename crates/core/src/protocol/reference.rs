@@ -11,25 +11,25 @@ use rand::Rng;
 
 /// Phase-2 fan-out: all members at once when `parallel_phase2` is set, one
 /// member at a time (the paper's design) otherwise. `probe` is the
-/// initiator's own vector summary in compact rounds — members answer with
-/// a delta against it instead of their full vector.
+/// initiator's own vector summary — members answer with a delta against
+/// it instead of their full vector.
 pub(super) fn send_collects(
     core: &NodeCore,
     object: ObjectId,
     rid: u64,
     members: &[NodeId],
     from_index: usize,
-    probe: Option<&idea_vv::VvSummary>,
+    probe: &idea_vv::VvSummary,
     ctx: &mut dyn Context<IdeaMsg>,
 ) {
     if core.cfg.parallel_phase2 {
         if from_index == 0 {
             for &m in members {
-                ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.cloned() });
+                ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.clone() });
             }
         }
     } else if let Some(&m) = members.get(from_index) {
-        ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.cloned() });
+        ctx.send(m, IdeaMsg::CollectRequest { rid, object, probe: probe.clone() });
     }
 }
 

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// The initiator's own vector snapshot taken at phase-2 entry: the
 /// `summary` rides every collect request of the round and the full
 /// `baseline` losslessly reconstructs each member's [`idea_vv::VvDelta`]
-/// answer. `None` in legacy (`compact_resolution = false`) rounds.
+/// answer.
 #[derive(Debug, Clone)]
 pub(super) struct CollectProbe {
     pub summary: idea_vv::VvSummary,
@@ -46,7 +46,7 @@ enum ResState {
         phase2_started: SimTime,
         phase1_dispatch: idea_types::SimDuration,
         phase1_acked: idea_types::SimDuration,
-        probe: Option<Box<CollectProbe>>,
+        probe: Box<CollectProbe>,
     },
     /// Lost the call-for-attention race; retrying after a random delay.
     /// The abandoned round id is kept for debugging/log output.
@@ -99,17 +99,14 @@ pub(crate) struct ResolutionDriver {
     completed: u64,
 }
 
-/// Snapshots the initiator's replica for a compact collect round; `None`
-/// when the legacy full-EVV wire is configured. The wire summary carries
-/// a zero-length timestamp tail: members only diff against its counters
-/// (`suffix_since`), and the initiator reconstructs replies against the
-/// full `baseline` it kept locally — shipping a tail would be pure
-/// overhead on every collect request.
-fn make_probe(core: &mut NodeCore, object: ObjectId) -> Option<Box<CollectProbe>> {
-    core.cfg.compact_resolution.then(|| {
-        let baseline = core.store.open(object).version().clone();
-        Box::new(CollectProbe { summary: baseline.summary(0), baseline })
-    })
+/// Snapshots the initiator's replica for a collect round. The wire
+/// summary carries a zero-length timestamp tail: members only diff
+/// against its counters (`suffix_since`), and the initiator reconstructs
+/// replies against the full `baseline` it kept locally — shipping a tail
+/// would be pure overhead on every collect request.
+fn make_probe(core: &mut NodeCore, object: ObjectId) -> Box<CollectProbe> {
+    let baseline = core.store.open(object).version().clone();
+    Box::new(CollectProbe { summary: baseline.summary(0), baseline })
 }
 
 impl ResolutionDriver {
@@ -251,7 +248,7 @@ impl ResolutionDriver {
             let me = core.me;
             let members = core.obj_mut(object).layer.top_peers(me);
             let probe = make_probe(core, object);
-            let summary = probe.as_ref().map(|p| p.summary.clone());
+            let summary = probe.summary.clone();
             let st = self.state(object);
             st.state = ResState::Phase2 {
                 rid,
@@ -265,7 +262,7 @@ impl ResolutionDriver {
                 phase1_acked: now.saturating_since(started),
                 probe,
             };
-            send_collects(core, object, rid, &members, 0, summary.as_ref(), ctx);
+            send_collects(core, object, rid, &members, 0, &summary, ctx);
         } else {
             st.state = ResState::Phase1 { rid, awaiting, started, dispatch };
         }
@@ -299,7 +296,7 @@ impl ResolutionDriver {
         let rid = core.fresh_id();
         let now = ctx.now();
         let probe = make_probe(core, object);
-        let summary = probe.as_ref().map(|p| p.summary.clone());
+        let summary = probe.summary.clone();
         self.state(object).state = ResState::Phase2 {
             rid,
             kind: ResolutionKind::Background,
@@ -312,41 +309,35 @@ impl ResolutionDriver {
             phase1_acked: idea_types::SimDuration::ZERO,
             probe,
         };
-        send_collects(core, object, rid, &peers, 0, summary.as_ref(), ctx);
+        send_collects(core, object, rid, &peers, 0, &summary, ctx);
     }
 
-    /// Member side of phase 2: report our vector — as suffixes beyond the
-    /// request's probe when one was carried, as the legacy full vector
-    /// otherwise. Either way the counters we answered with are snapshotted
-    /// so a delta-encoded `Inform` of the same round can resolve against
-    /// them. The probe is deliberately *not* folded into our own known
-    /// counts: observing it would perturb detection state and break the
-    /// bit-for-bit equivalence between the compact and legacy wires.
+    /// Member side of phase 2: report our vector as suffixes beyond the
+    /// request's probe, and snapshot the counters we answered with so a
+    /// delta-encoded `Inform` of the same round can resolve against them.
+    /// The probe is deliberately *not* folded into our own known counts:
+    /// observing it would perturb detection state, and the resolution
+    /// outcome is pinned bit-for-bit against the frozen full-vector wire.
     pub fn on_collect_request(
         &mut self,
         core: &mut NodeCore,
         from: NodeId,
         rid: u64,
         object: ObjectId,
-        probe: Option<idea_vv::VvSummary>,
+        probe: idea_vv::VvSummary,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
         core.store.open(object);
-        let evv = core.store.replica(object).expect("opened").version().clone();
-        self.state(object).remember_ack(from, rid, evv.counters().clone());
-        match probe {
-            Some(probe) => {
-                let delta = evv.suffix_since(&probe.counters);
-                ctx.send(from, IdeaMsg::CollectDelta { rid, object, delta });
-            }
-            None => ctx.send(from, IdeaMsg::CollectReply { rid, object, evv }),
-        }
+        let evv = core.store.replica(object).expect("opened").version();
+        let delta = evv.suffix_since(&probe.counters);
+        let counts = evv.counters().clone();
+        self.state(object).remember_ack(from, rid, counts);
+        ctx.send(from, IdeaMsg::CollectDelta { rid, object, delta });
     }
 
-    /// Initiator side of phase 2, compact form: reconstruct the member's
-    /// full vector against the round's probe baseline, then proceed
-    /// exactly as for a legacy reply — reference selection cannot tell the
-    /// two wires apart.
+    /// Initiator side of phase 2: reconstruct the member's full vector
+    /// against the round's probe baseline, gather vectors (sequentially or
+    /// in parallel per the config), then pick and publish the reference.
     pub fn on_collect_delta(
         &mut self,
         core: &mut NodeCore,
@@ -356,59 +347,35 @@ impl ResolutionDriver {
         delta: idea_vv::VvDelta,
         ctx: &mut dyn Context<IdeaMsg>,
     ) {
-        let Some(st) = self.states.get_mut(&object) else {
+        let Some(ResObj {
+            state: ResState::Phase2 { rid: r, members, collected, next, probe, .. },
+            ..
+        }) = self.states.get_mut(&object)
+        else {
             return;
         };
-        let evv = match &st.state {
-            ResState::Phase2 { rid: r, probe: Some(probe), .. } if *r == rid => {
-                probe.baseline.reconstruct(&delta)
-            }
-            _ => return,
-        };
-        self.on_collect_reply(core, from, rid, object, evv, ctx);
-    }
-
-    /// Initiator side of phase 2: gather vectors (sequentially or in
-    /// parallel per the config), then pick and publish the reference.
-    pub fn on_collect_reply(
-        &mut self,
-        core: &mut NodeCore,
-        from: NodeId,
-        rid: u64,
-        object: ObjectId,
-        evv: idea_vv::ExtendedVersionVector,
-        ctx: &mut dyn Context<IdeaMsg>,
-    ) {
-        let now = ctx.now();
-        core.note_counters(object, evv.counters(), now);
-        let Some(st) = self.states.get_mut(&object) else {
+        if *r != rid {
             return;
-        };
-        let parallel = core.cfg.parallel_phase2;
-        match &mut st.state {
-            ResState::Phase2 { rid: r, members, collected, next, probe, .. } if *r == rid => {
-                if collected.iter().any(|(n, _)| *n == from) {
-                    return;
-                }
-                collected.push((from, evv));
-                *next += 1;
-                let done = collected.len() == members.len();
-                let summary = probe.as_ref().map(|p| p.summary.clone());
-                let (members, next) = (members.clone(), *next);
-                if done {
-                    self.finish(core, object, ctx);
-                } else if !parallel {
-                    send_collects(core, object, rid, &members, next, summary.as_ref(), ctx);
-                }
-            }
-            _ => {}
+        }
+        let evv = probe.baseline.reconstruct(&delta);
+        core.note_counters(object, evv.counters(), ctx.now());
+        if collected.iter().any(|(n, _)| *n == from) {
+            return;
+        }
+        collected.push((from, evv));
+        *next += 1;
+        if collected.len() == members.len() {
+            self.finish(core, object, ctx);
+        } else if !core.cfg.parallel_phase2 {
+            let (members, next, summary) = (members.clone(), *next, probe.summary.clone());
+            send_collects(core, object, rid, &members, next, &summary, ctx);
         }
     }
 
     fn finish(&mut self, core: &mut NodeCore, object: ObjectId, ctx: &mut dyn Context<IdeaMsg>) {
         let mine = core.store.replica(object).expect("opened").version().clone();
         let st = self.state(object);
-        let (rid, kind, members, collected, started, phase2_started, p1d, p1a, compact) =
+        let (rid, kind, members, collected, started, phase2_started, p1d, p1a) =
             match std::mem::take(&mut st.state) {
                 ResState::Phase2 {
                     rid,
@@ -419,7 +386,6 @@ impl ResolutionDriver {
                     phase2_started,
                     phase1_dispatch,
                     phase1_acked,
-                    probe,
                     ..
                 } => (
                     rid,
@@ -430,7 +396,6 @@ impl ResolutionDriver {
                     phase2_started,
                     phase1_dispatch,
                     phase1_acked,
-                    probe.is_some(),
                 ),
                 other => {
                     st.state = other;
@@ -449,21 +414,16 @@ impl ResolutionDriver {
         let reference = choose_reference(core.cfg.policy, &candidates, &core.priorities);
 
         // Inform every member (parallel fan-out), then reconcile locally.
-        // In compact rounds each member gets the reference encoded against
-        // the counters it itself reported — typically a handful of
-        // override entries; the self-contained full form is the fallback
-        // for legacy rounds and for whichever member a delta would not
-        // shrink.
+        // Each member gets the reference encoded against the counters it
+        // itself reported — typically a handful of override entries; the
+        // self-contained full form is the fallback for whichever member a
+        // delta would not shrink.
         for &m in &members {
-            let wire = if compact {
-                candidates
-                    .iter()
-                    .find(|(n, _)| *n == m)
-                    .map(|(_, evv)| ReferenceWire::encode(&reference, evv.counters()))
-                    .unwrap_or_else(|| ReferenceWire::Full(reference.clone()))
-            } else {
-                ReferenceWire::Full(reference.clone())
-            };
+            let wire = candidates
+                .iter()
+                .find(|(n, _)| *n == m)
+                .map(|(_, evv)| ReferenceWire::encode(&reference, evv.counters()))
+                .unwrap_or_else(|| ReferenceWire::Full(reference.clone()));
             ctx.send(m, IdeaMsg::Inform { rid, object, reference: wire });
         }
         let inform_dispatch = core.cfg.dispatch_cost.saturating_mul(members.len() as u64);

@@ -281,9 +281,10 @@ fn recovery_is_bit_identical_at_every_resolution_kill_point() {
     }
 }
 
-/// Off, Async and Sync runs of the same scenario are indistinguishable on
-/// the wire and in final content — the WAL is a pure side effect, so the
-/// default (`off`) keeps every pinned fixed-seed trace bit-identical.
+/// Off, Async, Sync and group-committed Sync runs of the same scenario are
+/// indistinguishable on the wire and in final content — the WAL is a pure
+/// side effect, so the default (`off`) keeps every pinned fixed-seed trace
+/// bit-identical.
 #[test]
 fn durability_mode_does_not_perturb_the_protocol() {
     let run = |durability: DurabilityConfig| {
@@ -299,15 +300,20 @@ fn durability_mode_does_not_perturb_the_protocol() {
     let off = run(DurabilityConfig::off());
     let dir_a = tmp_dir("mode-async");
     let dir_s = tmp_dir("mode-sync");
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_s);
+    let dir_g = tmp_dir("mode-sync-grouped");
+    for dir in [&dir_a, &dir_s, &dir_g] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let buffered = run(DurabilityConfig::buffered(dir_a.clone()));
     let sync = run(DurabilityConfig::sync(dir_s.clone()));
+    let grouped = run(DurabilityConfig::sync_grouped(dir_g.clone(), 32));
 
     assert_eq!(off, buffered, "Async durability changed the trace");
     assert_eq!(off, sync, "Sync durability changed the trace");
-    std::fs::remove_dir_all(&dir_a).unwrap();
-    std::fs::remove_dir_all(&dir_s).unwrap();
+    assert_eq!(off, grouped, "group-committed Sync durability changed the trace");
+    for dir in [&dir_a, &dir_s, &dir_g] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 /// A clean shutdown flushes a final snapshot, so the next restart replays

@@ -18,7 +18,7 @@
 use crate::codec::{CodecError, WireCodec, WireReader};
 use idea_core::{Command, Response};
 use idea_types::{NodeId, WireError};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Frame magic: the ASCII bytes `IDEA`.
 pub const MAGIC: [u8; 4] = *b"IDEA";
@@ -124,17 +124,6 @@ pub fn frame_bytes(frame: &Frame) -> Result<Vec<u8>, WireError> {
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     Ok(out)
-}
-
-/// Writes one frame (header + body) and flushes.
-///
-/// # Errors
-/// [`WireError::Protocol`] for an over-cap body (nothing is written),
-/// [`WireError::Transport`] for I/O failures.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    let bytes = frame_bytes(frame)?;
-    w.write_all(&bytes).map_err(|e| transport_err(&e))?;
-    w.flush().map_err(|e| transport_err(&e))
 }
 
 fn transport_err(e: &io::Error) -> WireError {
@@ -245,16 +234,15 @@ mod tests {
     #[test]
     fn frames_round_trip_over_a_byte_stream() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &sample()).unwrap();
-        write_frame(
-            &mut wire,
-            &Frame {
+        wire.extend(frame_bytes(&sample()).unwrap());
+        wire.extend(
+            frame_bytes(&Frame {
                 request_id: 7,
                 node: NodeId(2),
                 payload: FramePayload::Response(Response::Done),
-            },
-        )
-        .unwrap();
+            })
+            .unwrap(),
+        );
         let mut r = &wire[..];
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), sample());
         let second = read_frame(&mut r).unwrap().unwrap();
@@ -298,17 +286,16 @@ mod tests {
     #[test]
     fn parse_frame_reassembles_across_arbitrary_splits() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &sample()).unwrap();
+        wire.extend(frame_bytes(&sample()).unwrap());
         let first_len = wire.len();
-        write_frame(
-            &mut wire,
-            &Frame {
+        wire.extend(
+            frame_bytes(&Frame {
                 request_id: 9,
                 node: NodeId(1),
                 payload: FramePayload::Response(Response::Done),
-            },
-        )
-        .unwrap();
+            })
+            .unwrap(),
+        );
 
         for split in 0..=wire.len() {
             let prefix = &wire[..split];
@@ -353,7 +340,7 @@ mod tests {
     }
 
     /// The cap binds on the send side too: an over-cap frame fails its own
-    /// encode with a typed error and writes nothing.
+    /// encode with a typed error, so no bytes exist to reach the wire.
     #[test]
     fn oversized_body_is_rejected_on_send() {
         use idea_types::UpdatePayload;
@@ -367,8 +354,5 @@ mod tests {
             }),
         };
         assert!(matches!(frame_bytes(&huge), Err(WireError::Protocol(_))));
-        let mut sink = Vec::new();
-        assert!(write_frame(&mut sink, &huge).is_err());
-        assert!(sink.is_empty(), "nothing may reach the wire");
     }
 }

@@ -18,11 +18,9 @@
 //!   per-shard mailboxes the dispatch path feeds directly), and
 //!   [`RemoteEngine`] implements [`idea_core::EngineHandle`] over a
 //!   connection pool, so `Session` code from `idea_core::client` runs
-//!   unchanged against a remote cluster. The server has two
-//!   implementations behind [`ServerConfig`]: the default readiness-driven
-//!   event loop (one thread for every connection, with admission and
-//!   backpressure control) and the original thread-per-connection baseline
-//!   ([`ServerMode::Threaded`]).
+//!   unchanged against a remote cluster. The server is one
+//!   readiness-driven event loop thread for every connection, with
+//!   admission and backpressure control tuned by [`ServerConfig`].
 //!
 //! ## Ordering and pipelining guarantees
 //!

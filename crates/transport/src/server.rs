@@ -1,27 +1,18 @@
-//! [`IdeaServer`]: the TCP frontend over any [`CommandExecutor`], in two
-//! interchangeable implementations selected by [`ServerConfig::mode`]:
+//! [`IdeaServer`]: the TCP frontend over any [`CommandExecutor`] — one
+//! readiness-driven event loop thread multiplexing every connection over
+//! the vendored `mio`-style poller: nonblocking accept, per-connection
+//! read-buffer frame reassembly, and a per-connection write queue whose
+//! flushes coalesce many small response frames into one `write` syscall.
+//! Thread count is O(1) in the number of connections.
 //!
-//! * [`ServerMode::Evented`] (the default) — one readiness-driven event
-//!   loop thread multiplexing every connection over the vendored
-//!   `mio`-style poller: nonblocking accept, per-connection read-buffer
-//!   frame reassembly, and a per-connection write queue whose flushes
-//!   coalesce many small response frames into one `write` syscall. Thread
-//!   count is O(1) in the number of connections — the fan-in path.
-//! * [`ServerMode::Threaded`] — the original two-OS-threads-per-connection
-//!   server, kept as the pinned baseline the fan-in benchmark compares
-//!   against (and a conservative fallback).
-//!
-//! Both speak the identical wire protocol with identical per-connection
-//! semantics: commands dispatch in arrival order into the executor's
+//! Per connection, commands dispatch in arrival order into the executor's
 //! per-object FIFO mailboxes via the non-blocking
 //! [`CommandExecutor::dispatch`] reply-callback path, responses return in
 //! *completion* order correlated by `request_id`, and fire-and-forget
 //! frames (`request_id == `[`NO_REPLY`](crate::frame::NO_REPLY)) are
-//! submitted with no reply path at all. The loopback byte-equivalence
-//! suite runs unchanged against either mode.
+//! submitted with no reply path at all.
 //!
-//! The evented server adds connection admission and backpressure, which
-//! the threaded baseline does not have:
+//! The server bounds what clients can make it hold:
 //!
 //! * a connection past [`ServerConfig::max_connections`] is answered with
 //!   the typed [`WireError::ServerAtCapacity`](idea_types::WireError::ServerAtCapacity) rejection and closed —
@@ -32,36 +23,35 @@
 //!   slow consumer cannot balloon server memory or stall its neighbours.
 
 use idea_core::CommandExecutor;
+use mio::Waker;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 mod evented;
-mod threaded;
 
-/// Which server implementation [`IdeaServer::bind_with`] starts.
+/// The server implementation [`ServerConfig::mode`] names. There is one:
+/// the readiness-driven event loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerMode {
     /// Readiness-driven event loop: one thread for every connection.
     Evented,
-    /// Two OS threads (reader + writer) per connection — the pre-event-loop
-    /// implementation, kept as the pinned fan-in baseline.
-    Threaded,
 }
 
 /// Tuning for [`IdeaServer::bind_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Implementation to start (default [`ServerMode::Evented`]).
+    /// Implementation to start; [`ServerMode::Evented`] is the only value.
     pub mode: ServerMode,
     /// Admission cap: a connection accepted while this many are live is
     /// answered with the typed [`WireError::ServerAtCapacity`](idea_types::WireError::ServerAtCapacity) rejection
-    /// and closed. Enforced by the evented server only (the threaded
-    /// baseline predates admission control). Default 16 384.
+    /// and closed. Default 16 384.
     pub max_connections: usize,
     /// Per-connection backpressure mark: once a connection's un-flushed
     /// response bytes exceed this, its reads are deferred until the queue
-    /// drains below half the mark. Evented server only. Default 1 MiB.
+    /// drains below half the mark. Default 1 MiB.
     pub high_water_bytes: usize,
 }
 
@@ -75,51 +65,30 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// The default configuration with `mode` taken from the
-    /// `IDEA_SERVER_MODE` environment variable (`threaded` or `evented`,
-    /// default evented) — how CI drives the same test suite against both
-    /// implementations.
-    pub fn from_env() -> Self {
-        let mode = match std::env::var("IDEA_SERVER_MODE").as_deref() {
-            Ok("threaded") => ServerMode::Threaded,
-            _ => ServerMode::Evented,
-        };
-        ServerConfig { mode, ..ServerConfig::default() }
-    }
-
-    /// The threaded baseline with otherwise-default settings.
-    pub fn threaded() -> Self {
-        ServerConfig { mode: ServerMode::Threaded, ..ServerConfig::default() }
-    }
-}
-
 /// A running TCP server fronting a [`CommandExecutor`].
 ///
-/// Bind with [`IdeaServer::bind`] (mode from the environment, evented by
-/// default) or [`IdeaServer::bind_with`]; the listener address (useful
-/// with port `0`) is [`IdeaServer::local_addr`]. [`IdeaServer::stop`]
-/// (also run on drop) closes the listener and every connection and joins
-/// the service threads — it does **not** stop the engine, which the
-/// caller still owns.
+/// Bind with [`IdeaServer::bind`] (default configuration) or
+/// [`IdeaServer::bind_with`]; the listener address (useful with port `0`)
+/// is [`IdeaServer::local_addr`]. [`IdeaServer::stop`] (also run on drop)
+/// closes the listener and every connection and joins the loop thread —
+/// it does **not** stop the engine, which the caller still owns.
 pub struct IdeaServer {
-    inner: Inner,
-}
-
-enum Inner {
-    Threaded(threaded::ThreadedServer),
-    Evented(evented::EventedServer),
+    local_addr: SocketAddr,
+    stop_flag: Arc<AtomicBool>,
+    waker: Arc<Waker>,
+    handle: Option<JoinHandle<()>>,
+    stats: Arc<evented::Stats>,
 }
 
 impl IdeaServer {
-    /// Binds `addr` and starts serving `executor` with
-    /// [`ServerConfig::from_env`].
+    /// Binds `addr` and starts serving `executor` with the default
+    /// [`ServerConfig`].
     ///
     /// # Errors
-    /// Propagates listener-setup I/O failures; per-connection failures
-    /// after that only close the affected connection.
+    /// Propagates listener- and poller-setup I/O failures; per-connection
+    /// failures after that only close the affected connection.
     pub fn bind(addr: impl ToSocketAddrs, executor: Arc<dyn CommandExecutor>) -> io::Result<Self> {
-        Self::bind_with(addr, executor, ServerConfig::from_env())
+        Self::bind_with(addr, executor, ServerConfig::default())
     }
 
     /// Binds `addr` and starts serving `executor` under `config`.
@@ -131,78 +100,54 @@ impl IdeaServer {
         executor: Arc<dyn CommandExecutor>,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let inner = match config.mode {
-            ServerMode::Threaded => {
-                Inner::Threaded(threaded::ThreadedServer::spawn(listener, executor)?)
-            }
-            ServerMode::Evented => {
-                Inner::Evented(evented::EventedServer::spawn(listener, executor, config)?)
-            }
-        };
-        Ok(IdeaServer { inner })
+        evented::spawn(TcpListener::bind(addr)?, executor, config)
     }
 
     /// The bound listener address.
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            Inner::Threaded(s) => s.local_addr(),
-            Inner::Evented(s) => s.local_addr(),
-        }
-    }
-
-    /// The implementation this server runs.
-    pub fn mode(&self) -> ServerMode {
-        match &self.inner {
-            Inner::Threaded(_) => ServerMode::Threaded,
-            Inner::Evented(_) => ServerMode::Evented,
-        }
+        self.local_addr
     }
 
     /// Connections accepted since bind (monotonic; includes closed and
     /// admission-rejected ones).
     pub fn connections_accepted(&self) -> u64 {
-        match &self.inner {
-            Inner::Threaded(s) => s.connections_accepted(),
-            Inner::Evented(s) => s.connections_accepted(),
-        }
+        self.stats.accepted.load(Ordering::SeqCst)
     }
 
     /// Connections refused at admission with the typed
-    /// [`WireError::ServerAtCapacity`](idea_types::WireError::ServerAtCapacity) rejection. Always 0 in threaded
-    /// mode, which has no admission control.
+    /// [`WireError::ServerAtCapacity`](idea_types::WireError::ServerAtCapacity) rejection.
     pub fn connections_rejected(&self) -> u64 {
-        match &self.inner {
-            Inner::Threaded(_) => 0,
-            Inner::Evented(s) => s.connections_rejected(),
-        }
+        self.stats.rejected.load(Ordering::SeqCst)
     }
 
     /// Times the event loop woke from its poll since bind — accept
     /// readiness, connection I/O, and completion wake-ups all count. An
-    /// *idle* evented server on an OS-backed poller blocks in the poll and
-    /// burns none (the regression pin for the old 20 ms accept-poll).
-    /// Always 0 in threaded mode.
+    /// *idle* server on an OS-backed poller blocks in the poll and burns
+    /// none (the regression pin for the old 20 ms accept-poll).
     pub fn loop_wakeups(&self) -> u64 {
-        match &self.inner {
-            Inner::Threaded(_) => 0,
-            Inner::Evented(s) => s.loop_wakeups(),
-        }
+        self.stats.wakeups.load(Ordering::SeqCst)
     }
 
     /// Count of reads-deferred transitions: how many times a connection
     /// crossed [`ServerConfig::high_water_bytes`] and had its reads parked
-    /// until the write queue drained. Always 0 in threaded mode.
+    /// until the write queue drained.
     pub fn reads_deferred_total(&self) -> u64 {
-        match &self.inner {
-            Inner::Threaded(_) => 0,
-            Inner::Evented(s) => s.reads_deferred_total(),
-        }
+        self.stats.reads_deferred.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, closes every connection and joins the service
-    /// threads. Idempotent; also runs on drop.
+    /// Stops accepting, closes every connection and joins the loop
+    /// thread. Idempotent; also runs on drop.
     pub fn stop(self) {
         // Drop runs the shutdown.
+    }
+}
+
+impl Drop for IdeaServer {
+    fn drop(&mut self) {
+        self.stop_flag.store(true, Ordering::SeqCst);
+        let _ = self.waker.wake();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }

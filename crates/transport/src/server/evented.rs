@@ -1,4 +1,4 @@
-//! The readiness-driven event loop ([`super::ServerMode::Evented`]).
+//! The readiness-driven event loop behind [`IdeaServer`].
 //!
 //! One thread multiplexes the listener and every connection over the
 //! vendored `mio`-style poller. The loop blocks in `poll` with no timeout
@@ -6,41 +6,38 @@
 //! the old 20 ms accept-poll). Per connection the loop keeps:
 //!
 //! * a **read buffer** reassembling frames from whatever byte runs the
-//!   nonblocking socket hands over ([`parse_frame`] replaces the blocking
-//!   reader thread);
+//!   nonblocking socket hands over ([`parse_frame`]);
 //! * a **write queue**: one contiguous buffer that response frames append
 //!   to and flushes drain with single `write` calls — many small pipelined
-//!   responses coalesce into one syscall (replacing the writer thread).
+//!   responses coalesce into one syscall.
 //!
-//! Commands still dispatch in arrival order through the non-blocking
+//! Commands dispatch in arrival order through the non-blocking
 //! [`CommandExecutor::dispatch`] reply-callback path; callbacks push onto
 //! a completion queue and wake the loop, which encodes them in completion
-//! order — the same per-connection semantics as the threaded baseline,
-//! byte for byte.
+//! order.
 //!
 //! Readiness handling is drain-to-`WouldBlock` throughout, so the loop is
 //! correct under both level-triggered semantics (the epoll backend) and
 //! the portable backend's spurious readiness.
 //!
-//! Admission and backpressure (the two knobs the threaded baseline lacks):
-//! an over-cap connection is answered with the typed
+//! Admission and backpressure: an over-cap connection is answered with the typed
 //! [`WireError::ServerAtCapacity`] rejection and closed; a connection
 //! whose un-flushed responses exceed `high_water_bytes` has its reads —
 //! and the parsing of already-buffered frames — deferred until the queue
 //! drains below half the mark, so a slow reader stops generating new work
 //! instead of ballooning server memory, without stalling its neighbours.
 
-use super::ServerConfig;
+use super::{IdeaServer, ServerConfig};
 use crate::frame::{frame_bytes, parse_frame, Frame, FramePayload, NO_REPLY};
 use idea_core::{CommandExecutor, Response};
 use idea_types::{NodeId, WireError};
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
@@ -62,89 +59,50 @@ type Completion = (usize, u64, NodeId, Response);
 
 /// Counters shared between the loop thread and the server handle.
 #[derive(Default)]
-struct Stats {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    wakeups: AtomicU64,
-    reads_deferred: AtomicU64,
+pub(super) struct Stats {
+    pub(super) accepted: AtomicU64,
+    pub(super) rejected: AtomicU64,
+    pub(super) wakeups: AtomicU64,
+    pub(super) reads_deferred: AtomicU64,
 }
 
-pub(super) struct EventedServer {
-    local_addr: SocketAddr,
-    stop_flag: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    handle: Option<JoinHandle<()>>,
-    stats: Arc<Stats>,
-}
+/// Starts the loop thread over a bound `listener`.
+pub(super) fn spawn(
+    listener: TcpListener,
+    executor: Arc<dyn CommandExecutor>,
+    config: ServerConfig,
+) -> io::Result<IdeaServer> {
+    let local_addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let poll = Poll::new()?;
+    poll.registry().register(&listener, LISTENER, Interest::READABLE)?;
+    let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
+    let stop_flag = Arc::new(AtomicBool::new(false));
+    let stats = Arc::new(Stats::default());
 
-impl EventedServer {
-    pub(super) fn spawn(
-        listener: TcpListener,
-        executor: Arc<dyn CommandExecutor>,
-        config: ServerConfig,
-    ) -> io::Result<Self> {
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let poll = Poll::new()?;
-        poll.registry().register(&listener, LISTENER, Interest::READABLE)?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
-        let stop_flag = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(Stats::default());
+    let handle = {
+        let stop_flag = Arc::clone(&stop_flag);
+        let waker = Arc::clone(&waker);
+        let stats = Arc::clone(&stats);
+        thread::Builder::new().name("idea-evented".into()).spawn(move || {
+            EventLoop {
+                poll,
+                listener,
+                executor,
+                config,
+                waker,
+                stop_flag,
+                stats,
+                conns: HashMap::new(),
+                next_token: FIRST_CONN,
+                completions: Arc::new(Mutex::new(Vec::new())),
+                scratch: vec![0u8; READ_CHUNK],
+            }
+            .run();
+        })?
+    };
 
-        let handle = {
-            let stop_flag = Arc::clone(&stop_flag);
-            let waker = Arc::clone(&waker);
-            let stats = Arc::clone(&stats);
-            thread::Builder::new().name("idea-evented".into()).spawn(move || {
-                EventLoop {
-                    poll,
-                    listener,
-                    executor,
-                    config,
-                    waker,
-                    stop_flag,
-                    stats,
-                    conns: HashMap::new(),
-                    next_token: FIRST_CONN,
-                    completions: Arc::new(Mutex::new(Vec::new())),
-                    scratch: vec![0u8; READ_CHUNK],
-                }
-                .run();
-            })?
-        };
-
-        Ok(EventedServer { local_addr, stop_flag, waker, handle: Some(handle), stats })
-    }
-
-    pub(super) fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    pub(super) fn connections_accepted(&self) -> u64 {
-        self.stats.accepted.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn connections_rejected(&self) -> u64 {
-        self.stats.rejected.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn loop_wakeups(&self) -> u64 {
-        self.stats.wakeups.load(Ordering::SeqCst)
-    }
-
-    pub(super) fn reads_deferred_total(&self) -> u64 {
-        self.stats.reads_deferred.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for EventedServer {
-    fn drop(&mut self) {
-        self.stop_flag.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    Ok(IdeaServer { local_addr, stop_flag, waker, handle: Some(handle), stats })
 }
 
 /// Per-connection state machine.
@@ -233,8 +191,7 @@ impl EventLoop {
                 }
             }
             // Completions queued by dispatch callbacks since the last
-            // pass — encode them in completion order, exactly as the
-            // threaded writer drained its channel.
+            // pass — encode them in completion order.
             let completed = std::mem::take(&mut *self.completions.lock().expect("completions"));
             for (t, request_id, node, response) in completed {
                 let Some(conn) = self.conns.get_mut(&t) else {
@@ -431,9 +388,8 @@ impl EventLoop {
         }
     }
 
-    /// One decoded frame — the same command handling as the threaded
-    /// reader, with the reply callback queueing into the completion list
-    /// instead of a per-connection channel.
+    /// One decoded frame: the reply callback queues into the completion
+    /// list and wakes the loop.
     fn handle_frame(&mut self, token: usize, conn: &mut Conn, frame: Frame) {
         let Frame { request_id, node, payload } = frame;
         match payload {
@@ -521,7 +477,7 @@ fn has_buffered_frame(buf: &[u8]) -> bool {
 /// Appends one response frame to the connection's write queue. An
 /// unframeable (over-cap) response fails only its own request: substitute
 /// a typed rejection so the waiting client is answered and the connection
-/// survives — the same policy as the threaded writer.
+/// survives.
 fn enqueue_response(conn: &mut Conn, request_id: u64, node: NodeId, response: Response) {
     let frame = Frame { request_id, node, payload: FramePayload::Response(response) };
     let bytes = match frame_bytes(&frame) {
@@ -542,8 +498,7 @@ fn enqueue_response(conn: &mut Conn, request_id: u64, node: NodeId, response: Re
 }
 
 /// Flushes the write queue until `WouldBlock` or empty. One `write` call
-/// covers every queued frame — the coalescing that replaces the
-/// frame-at-a-time writer thread.
+/// covers every queued frame.
 fn flush(conn: &mut Conn) {
     while conn.pending_out() > 0 {
         match conn.stream.write(&conn.out[conn.out_pos..]) {

@@ -1,13 +1,14 @@
-//! Event-loop-specific guarantees of the evented [`IdeaServer`]: an idle
-//! server schedules zero wakeups, admission past the connection cap is a
-//! *typed* rejection (never a hang), and a slow reader hitting the
-//! write-queue high-water mark has its reads deferred without stalling
-//! other connections.
+//! Event-loop guarantees of [`IdeaServer`]: an idle server schedules zero
+//! wakeups, hundreds of concurrent connections are each greeted and
+//! served, admission past the connection cap is a *typed* rejection
+//! (never a hang), and a slow reader hitting the write-queue high-water
+//! mark has its reads deferred without stalling other connections.
 
-use idea_core::{Command, CommandExecutor, Response};
+use idea_core::{Command, CommandExecutor, IdeaConfig, IdeaNode, LockedEngine, Response};
+use idea_net::{SimConfig, SimEngine, Topology};
 use idea_transport::frame::{frame_bytes, read_frame, Frame, FramePayload, NO_REPLY};
-use idea_transport::{IdeaServer, RemoteEngine, ServerConfig, ServerMode};
-use idea_types::{NodeId, ObjectId, WireError};
+use idea_transport::{IdeaServer, RemoteEngine, ServerConfig};
+use idea_types::{NodeId, ObjectId, UpdatePayload, WireError};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -58,7 +59,6 @@ fn idle_server_schedules_no_wakeups() {
     let server =
         IdeaServer::bind_with("127.0.0.1:0", Arc::new(BlobExecutor), ServerConfig::default())
             .unwrap();
-    assert_eq!(server.mode(), ServerMode::Evented);
 
     std::thread::sleep(Duration::from_millis(400));
     assert_eq!(server.loop_wakeups(), 0, "idle server must not wake");
@@ -67,6 +67,60 @@ fn idle_server_schedules_no_wakeups() {
     expect_hello(&mut client);
     assert!(server.loop_wakeups() >= 1);
     assert_eq!(server.connections_accepted(), 1);
+}
+
+/// Fan-in: 256 connections held open at once — opened, greeted and
+/// served from one client thread, so the test starts no extra threads —
+/// each get their greeting and a `Peek` reply identical to the in-process
+/// answer, and every one of them is admitted.
+#[test]
+fn many_concurrent_connections_are_each_greeted_and_served() {
+    const CONNECTIONS: usize = 256;
+    const NODES: usize = 2;
+    let object = ObjectId(1);
+    let nodes: Vec<IdeaNode> = (0..NODES as u32)
+        .map(|i| IdeaNode::new(NodeId(i), IdeaConfig::default(), &[object]))
+        .collect();
+    let engine = Arc::new(LockedEngine::new(SimEngine::new(
+        Topology::lan(NODES),
+        SimConfig::default(),
+        nodes,
+    )));
+    let write = Command::Write { object, meta_delta: 7, payload: UpdatePayload::none() };
+    engine.try_execute(NodeId(0), write).unwrap();
+    let expected: Vec<Response> = (0..NODES as u32)
+        .map(|n| engine.try_execute(NodeId(n), Command::Peek { object }).unwrap())
+        .collect();
+    assert!(matches!(expected[0], Response::Value { .. }), "{:?}", expected[0]);
+
+    let server = IdeaServer::bind_with("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut conns: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|_| {
+            let conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            conn
+        })
+        .collect();
+    for conn in &mut conns {
+        expect_hello(conn);
+    }
+    // Every connection has a request in flight before any reply is read.
+    for (i, conn) in conns.iter_mut().enumerate() {
+        let frame = Frame {
+            request_id: i as u64 + 1,
+            node: NodeId((i % NODES) as u32),
+            payload: FramePayload::Command(Command::Peek { object }),
+        };
+        conn.write_all(&frame_bytes(&frame).unwrap()).unwrap();
+    }
+    for (i, conn) in conns.iter_mut().enumerate() {
+        let frame = read_frame(conn).unwrap().expect("response");
+        assert_eq!(frame.request_id, i as u64 + 1);
+        assert_eq!(frame.payload, FramePayload::Response(expected[i % NODES].clone()), "conn {i}");
+    }
+    assert_eq!(server.connections_accepted(), CONNECTIONS as u64);
+    assert_eq!(server.connections_rejected(), 0);
 }
 
 /// A connection past `max_connections` is answered with the typed
